@@ -185,51 +185,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def texp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * out_data)
-
-    return _node(out_data, (a,), backward)
-
-
-def tlog(a: Tensor) -> Tensor:
-    out_data = np.log(a.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad / a.data)
-
-    return _node(out_data, (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * (1.0 - out_data * out_data))
-
-    return _node(out_data, (a,), backward)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * out_data * (1.0 - out_data))
-
-    return _node(out_data, (a,), backward)
-
-
 def log_sigmoid(a: Tensor) -> Tensor:
     x = a.data
     # stable: log sigma(x) = min(x, 0) - log1p(exp(-|x|))
@@ -258,17 +213,17 @@ def gelu(a: Tensor) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    return masked_softmax(a, None, axis=axis)
+def softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Stable softmax of a plain array (no graph)."""
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def masked_softmax(a: Tensor, mask: Optional[np.ndarray], axis: int = -1) -> Tensor:
     """Softmax of ``a + mask`` where ``mask`` is a constant additive array
     (e.g. a causal mask); fused to avoid materializing the sum."""
-    logits = a.data if mask is None else a.data + mask
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = softmax_np(a.data if mask is None else a.data + mask, axis=axis)
 
     def backward(grad):
         if a.requires_grad:

@@ -38,7 +38,7 @@ from .models import (
     save_token_lm,
 )
 from .synthetic import GeneratorParams, OracleModel, SyntheticConfig, generate_synthetic
-from .taxonomy import FORMAT_HEADER, OccupationTaxonomy
+from .taxonomy import OccupationTaxonomy
 from .template import NumericTitleMap, TemplateCodec, TemplateConfig
 from .tokenizer import train_template_vocab
 from .training import LrSchedule, OptimizerConfig, train_career, train_token_lm
@@ -110,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--config", default=None, help="JSON config file; explicit flags win")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     g = sub.add_parser("gen-data", help="generate a synthetic dataset with a ground-truth oracle")
     common(g)
@@ -609,7 +608,7 @@ def cmd_report(args) -> None:
         raise CliError(f"nothing to report: no CSV files under {metrics_dir}")
     hashes = set()
     all_rows: list[dict] = []
-    calib_rows: list[list[str]] = []
+    calib_rows: list[dict] = []
     for path in files:
         try:
             rows, provenance = ev.read_metrics_csv(path)
@@ -617,31 +616,14 @@ def cmd_report(args) -> None:
             continue
         if "config_hash" in provenance:
             hashes.add(provenance["config_hash"])
-        if path.name.startswith("calibration"):
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if line.startswith(("bin,", "#")):
-                        continue
-                    calib_rows.append(line.rstrip("\n").split(","))
-            continue
-        all_rows.extend(rows)
+        (calib_rows if path.name.startswith("calibration") else all_rows).extend(rows)
     if len(hashes) > 1 and not args.force:
         raise CliError(f"metrics mix {len(hashes)} config hashes; pass --force to combine them")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "metrics_combined.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(FORMAT_HEADER + "\n")
-        import csv as _csv
-
-        writer = _csv.DictWriter(fh, fieldnames=ev.METRICS_COLUMNS)
-        writer.writeheader()
-        for row in sorted(all_rows, key=lambda r: (r["dataset"], r["model"], r["metric"], r["filter"])):
-            writer.writerow(row)
-    with open(out / "calibration_points.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(FORMAT_HEADER + "\n")
-        fh.write("bin,mean_pred,emp_rate,count\n")
-        for row in calib_rows:
-            fh.write(",".join(row) + "\n")
+    all_rows.sort(key=lambda r: (r["dataset"], r["model"], r["metric"], r["filter"]))
+    ev.write_stamped_csv(out / "metrics_combined.csv", ev.METRICS_COLUMNS, all_rows, {})
+    ev.write_stamped_csv(out / "calibration_points.csv", ev.CALIBRATION_COLUMNS, calib_rows, {}, lineterminator="\n")
     print(f"wrote plot data under {out}", file=sys.stderr)
 
 

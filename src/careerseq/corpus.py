@@ -50,6 +50,12 @@ class Education(str, Enum):
 
 EDUCATION_ORDER = {e: i for i, e in enumerate(Education)}
 
+# category orders behind every one-hot, embedding and generator table index
+GENDERS = list(Gender)
+ETHNICITIES = list(Ethnicity)
+REGIONS = list(Region)
+EDUCATIONS = list(Education)
+
 BIRTH_YEAR_WINDOW = (1900, 2010)
 
 

@@ -88,49 +88,66 @@ def score_model(
     taxonomy: OccupationTaxonomy,
     transitions: Optional[Sequence[tuple[CareerHistory, int]]] = None,
 ) -> TransitionScores:
-    """Score every transition of ``histories`` (or an explicit transition
-    list). Uses the model's batched paths when it offers them."""
+    """Score every transition of ``histories``, or the explicit
+    ``transitions`` list of (history, t) pairs, in that order.
+
+    Two paths. A model with ``score_transitions`` (the LM adapter, whose full
+    distribution costs one title pass per occupation) returns the realized
+    log-probabilities and stay scores itself. Every other model supplies
+    distributions: ``predict_all(h)`` once per distinct history object when
+    it offers one, else ``predict(h, t)`` per transition; the realized and
+    previous-occupation columns are read off those."""
     if transitions is None:
         transitions = [(h, t) for h in histories for t in range(1, len(h) + 1)]
     items = list(transitions)
-    n = len(items)
-    logp = np.zeros(n)
-    p_stay = np.full(n, np.nan)
     if hasattr(model, "score_transitions"):
         logp, p_stay = model.score_transitions(items)
-    elif hasattr(model, "predict_all") and transitions is not None:
-        cache: dict[str, list[np.ndarray]] = {}
-        for i, (h, t) in enumerate(items):
-            if h.individual_id not in cache:
-                cache[h.individual_id] = model.predict_all(h)
-            dist = cache[h.individual_id][t - 1]
-            logp[i] = np.log(dist[taxonomy.index_of(h.records[t - 1].occupation)])
-            if t > 1:
-                p_stay[i] = dist[taxonomy.index_of(h.records[t - 2].occupation)]
     else:
-        for i, (h, t) in enumerate(items):
+        logp, p_stay = _score_distributions(model, items, taxonomy)
+    return transition_scores(items, logp, p_stay)
+
+
+def _score_distributions(
+    model, items: list[tuple[CareerHistory, int]], taxonomy: OccupationTaxonomy
+) -> tuple[np.ndarray, np.ndarray]:
+    logp = np.zeros(len(items))
+    p_stay = np.full(len(items), np.nan)
+    predict_all = getattr(model, "predict_all", None)
+    # keyed by history object, not individual id: windows cut from one
+    # person's career share the id but not the distributions
+    rows: dict[int, list[np.ndarray]] = {}
+    for i, (h, t) in enumerate(items):
+        if predict_all is None:
             dist = model.predict(h, t)
-            logp[i] = np.log(dist[taxonomy.index_of(h.records[t - 1].occupation)])
-            if t > 1:
-                p_stay[i] = dist[taxonomy.index_of(h.records[t - 2].occupation)]
-    ids = np.array([h.individual_id for h, _ in items], dtype=object)
-    t_idx = np.array([t for _, t in items], dtype=np.int64)
-    ttype = np.array([transition_type(h, t) for h, t in items], dtype=object)
-    subgroups = {
-        "education": np.array([h.records[t - 1].education.value for h, t in items], dtype=object),
-        "gender": np.array([h.static.gender.value for h, t in items], dtype=object),
-        "ethnicity": np.array([h.static.ethnicity.value for h, t in items], dtype=object),
-        "region": np.array([h.static.region.value for h, t in items], dtype=object),
-        "year": np.array([h.records[t - 1].year for h, t in items], dtype=np.int64),
-    }
+        else:
+            if id(h) not in rows:
+                rows[id(h)] = predict_all(h)
+            dist = rows[id(h)][t - 1]
+        logp[i] = np.log(dist[taxonomy.index_of(h.records[t - 1].occupation)])
+        if t > 1:
+            p_stay[i] = dist[taxonomy.index_of(h.records[t - 2].occupation)]
+    return logp, p_stay
+
+
+def transition_scores(
+    items: Sequence[tuple[CareerHistory, int]], logp: np.ndarray, p_stay: np.ndarray
+) -> TransitionScores:
+    """Rows for scored (history, t) pairs: ids, transition types and
+    subgroup columns come from the items, scores from ``logp``/``p_stay``."""
     return TransitionScores(
-        individual_ids=ids,
-        t_index=t_idx,
-        ttype=ttype,
+        individual_ids=np.array([h.individual_id for h, _ in items], dtype=object),
+        t_index=np.array([t for _, t in items], dtype=np.int64),
+        ttype=np.array([transition_type(h, t) for h, t in items], dtype=object),
         logp_true=logp,
         p_stay=p_stay,
-        weight=np.ones(n),
-        subgroups=subgroups,
+        weight=np.ones(len(items)),
+        subgroups={
+            "education": np.array([h.records[t - 1].education.value for h, t in items], dtype=object),
+            "gender": np.array([h.static.gender.value for h, t in items], dtype=object),
+            "ethnicity": np.array([h.static.ethnicity.value for h, t in items], dtype=object),
+            "region": np.array([h.static.region.value for h, t in items], dtype=object),
+            "year": np.array([h.records[t - 1].year for h, t in items], dtype=np.int64),
+        },
     )
 
 
@@ -503,23 +520,38 @@ def gap_year_compare(model, taxonomy: OccupationTaxonomy, history: CareerHistory
 # --------------------------------------------------------------------------
 
 METRICS_COLUMNS = ["dataset", "split", "model", "metric", "filter", "value", "se", "B", "seed"]
+CALIBRATION_COLUMNS = ["bin", "mean_pred", "emp_rate", "count"]
+
+
+def format_cell(value):
+    """Output text of a float or NumPy number (``.12g``); other values pass."""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if isinstance(value, (np.floating, np.integer)):
+        return f"{float(value):.12g}"
+    return value
+
+
+def write_stamped_csv(
+    path, columns: Sequence[str], rows: Iterable[dict], provenance: dict, lineterminator: str = "\r\n"
+) -> None:
+    """CSV with the format header, one sorted ``# key=value`` line per
+    provenance entry, and a header row; floats are written as ``.12g`` so
+    fixed inputs give byte-stable files."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(FORMAT_HEADER + "\n")
+        for key in sorted(provenance):
+            fh.write(f"# {key}={provenance[key]}\n")
+        writer = csv.DictWriter(fh, fieldnames=list(columns), lineterminator=lineterminator)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: format_cell(v) for k, v in row.items()})
 
 
 def write_metrics_csv(path, rows: Iterable[dict], provenance: dict) -> None:
     """Rows with METRICS_COLUMNS keys; provenance lands in header comments so
     downstream reporting can refuse mixing incompatible runs."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(FORMAT_HEADER + "\n")
-        for key in sorted(provenance):
-            fh.write(f"# {key}={provenance[key]}\n")
-        writer = csv.DictWriter(fh, fieldnames=METRICS_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            for col in ("value", "se"):
-                if isinstance(out.get(col), float):
-                    out[col] = f"{out[col]:.12g}"
-            writer.writerow(out)
+    write_stamped_csv(path, METRICS_COLUMNS, rows, provenance)
 
 
 def read_metrics_csv(path) -> tuple[list[dict], dict]:
@@ -543,11 +575,5 @@ def read_metrics_csv(path) -> tuple[list[dict], dict]:
 
 
 def write_calibration_csv(path, report: CalibrationReport, provenance: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(FORMAT_HEADER + "\n")
-        for key in sorted(provenance):
-            fh.write(f"# {key}={provenance[key]}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "mean_pred", "emp_rate", "count"])
-        for b in report.bins:
-            writer.writerow([b.bin, f"{b.mean_pred:.12g}", f"{b.emp_rate:.12g}", b.count])
+    rows = [{"bin": b.bin, "mean_pred": b.mean_pred, "emp_rate": b.emp_rate, "count": b.count} for b in report.bins]
+    write_stamped_csv(path, CALIBRATION_COLUMNS, rows, provenance)

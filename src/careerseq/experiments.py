@@ -11,7 +11,6 @@ toy-scale runs are not expected to match them.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -25,13 +24,16 @@ from .evaluation import (
     TransitionScores,
     bootstrap_metric,
     bootstrap_pair,
+    format_cell,
     gap_year_compare,
     perplexity,
     score_model,
+    transition_scores,
+    write_stamped_csv,
 )
 from .models.adapter import GenerationConfig, LmOccupationAdapter
 from .models.token_lm import ContextOverflowError
-from .taxonomy import FORMAT_HEADER, OccupationTaxonomy
+from .taxonomy import OccupationTaxonomy
 from .training import derive_seed
 
 EXPERIMENT_KINDS = (
@@ -401,8 +403,13 @@ def run_prompting_arms(
             if k > len(resume_texts):
                 rows.append({"arm": label, "status": "skipped", "reason": "not enough training resumes"})
                 continue
+            arm_seed = derive_seed(seed, "arm", label)
+
+            def prompt_text(h, t):
+                return _enriched_prompt(adapter, h, t, titles, k, resume_texts, derive_seed(arm_seed, h.individual_id, t))
+
             try:
-                scored = _score_enriched(adapter, items, titles, k, resume_texts, derive_seed(seed, "arm", label))
+                scored = transition_scores(items, *adapter.score_transitions(items, prompt_text))
             except ContextOverflowError as exc:
                 rows.append({"arm": label, "status": "skipped", "reason": str(exc)})
                 continue
@@ -439,34 +446,6 @@ def _enriched_prompt(adapter, h, t, titles, k, resume_texts, seed) -> str:
     else:
         resumes = []
     return adapter.codec.enrich_prompt(base, include_titles=titles, resumes=resumes)
-
-
-def _score_enriched(adapter, items, titles, k, resume_texts, seed) -> TransitionScores:
-    logp = np.zeros(len(items))
-    p_stay = np.full(len(items), np.nan)
-    for i, (h, t) in enumerate(items):
-        prompt = _enriched_prompt(adapter, h, t, titles, k, resume_texts, derive_seed(seed, h.individual_id, t))
-        ids = [adapter.vocab.bos_id] + adapter.vocab.encode(prompt)
-        cont = adapter.continuation_ids(h.records[t - 1].occupation)
-        adapter._check_fits(len(ids) + len(cont))
-        logp[i] = adapter.lm.sequence_log_probs(ids + cont, from_position=len(ids)).sum()
-        adapter.forward_calls += 1
-        if t > 1:
-            cont = adapter.continuation_ids(h.records[t - 2].occupation)
-            adapter._check_fits(len(ids) + len(cont))
-            p_stay[i] = np.exp(adapter.lm.sequence_log_probs(ids + cont, from_position=len(ids)).sum())
-            adapter.forward_calls += 1
-    from .corpus import transition_type
-
-    return TransitionScores(
-        individual_ids=np.array([h.individual_id for h, _ in items], dtype=object),
-        t_index=np.array([t for _, t in items], dtype=np.int64),
-        ttype=np.array([transition_type(h, t) for h, t in items], dtype=object),
-        logp_true=logp,
-        p_stay=p_stay,
-        weight=np.ones(len(items)),
-        subgroups={},
-    )
 
 
 def run_valid_title_rate(
@@ -565,23 +544,9 @@ def write_experiment_output(out_dir, name: str, rows: list[dict], provenance: di
             if key not in columns:
                 columns.append(key)
     csv_path = out / f"{name}.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(FORMAT_HEADER + "\n")
-        for key in sorted(provenance):
-            fh.write(f"# {key}={provenance[key]}\n")
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
+    write_stamped_csv(csv_path, columns, rows, provenance)
     json_path = out / f"{name}.json"
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump({"provenance": provenance, "rows": rows}, fh, indent=2, sort_keys=True, default=_fmt)
+        json.dump({"provenance": provenance, "rows": rows}, fh, indent=2, sort_keys=True, default=format_cell)
     return csv_path, json_path
 
-
-def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if isinstance(value, (np.floating, np.integer)):
-        return f"{float(value):.12g}"
-    return value

@@ -1,5 +1,10 @@
+"""Occupation models. Each maps (career history, transition index t) to a
+vector over the taxonomy in entry order through ``predict(history, t)``.
+Proper models return a probability distribution; the as-written empirical
+baseline returns unnormalized values, which perplexity consumes as-is.
+"""
+
 from .adapter import GenerationConfig, LmOccupationAdapter
-from .base import OccupationModel
 from .career import CareerConfig, CareerModel, paper_preset
 from .checkpoint import CheckpointError, config_hash, load_checkpoint, save_checkpoint
 from .empirical import EmpiricalModel
@@ -30,7 +35,6 @@ __all__ = [
     "LmOccupationAdapter",
     "MnlFitConfig",
     "MnlModel",
-    "OccupationModel",
     "PrevCovariatesFeaturizer",
     "PrevOccupationFeaturizer",
     "TokenLM",

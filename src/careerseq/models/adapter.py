@@ -18,7 +18,7 @@ against each other in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from ..corpus import CareerHistory
 from ..template import TemplateCodec
 from ..tokenizer import Vocabulary, title_prefix_match
 from .token_lm import ContextOverflowError, TokenLM
+
+_BATCH = 16  # sequences per forward pass when scoring
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,9 @@ class LmOccupationAdapter:
             seqs.append(np.concatenate([prompt, np.asarray(cont, dtype=np.int64)]))
             read_from.append(len(prompt))
         raw = np.zeros(self.taxonomy.size)
-        for start in range(0, len(seqs), 16):
-            chunk = seqs[start : start + 16]
-            lps = self.lm.batched_log_probs(chunk, read_from[start : start + 16], pad_id=self.vocab.eos_id)
+        for start in range(0, len(seqs), _BATCH):
+            chunk = seqs[start : start + _BATCH]
+            lps = self.lm.batched_log_probs(chunk, read_from[start : start + _BATCH], pad_id=self.vocab.eos_id)
             self.forward_calls += len(chunk)
             for j, lp in enumerate(lps):
                 raw[start + j] = np.exp(lp.sum())
@@ -112,9 +114,6 @@ class LmOccupationAdapter:
 
     def predict(self, history: CareerHistory, t: int) -> np.ndarray:
         return self.job_distribution(history, t, normalized=False)
-
-    def log_prob(self, history: CareerHistory, t: int, code: int) -> float:
-        return self.joint_log_probability(history, t, code)
 
     def stay_probability(self, history: CareerHistory, t: int) -> float:
         """Raw score of the previous occupation's title (undefined at t=1)."""
@@ -126,32 +125,28 @@ class LmOccupationAdapter:
     def score_transitions(
         self,
         items: Sequence[tuple[CareerHistory, int]],
-        include_stay: bool = True,
-        batch_size: int = 16,
+        prompt_text: Optional[Callable[[CareerHistory, int], str]] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched (log P(realized occupation), raw P(previous occupation))
-        for many (history, t) pairs; the stay column is NaN at t=1."""
+        for many (history, t) pairs; the stay column is NaN at t=1.
+        ``prompt_text`` renders each prompt; the default is the codec's."""
+        render = prompt_text or self.codec.render_prompt
         seqs: list[np.ndarray] = []
         read_from: list[int] = []
         owners: list[tuple[int, int]] = []  # (item index, 0=true 1=stay)
         for i, (h, t) in enumerate(items):
-            prompt = np.asarray(self.prompt_ids(h, t), dtype=np.int64)
-            cont = self.continuation_ids(h.records[t - 1].occupation)
-            self._check_fits(len(prompt) + len(cont))
-            seqs.append(np.concatenate([prompt, np.asarray(cont, dtype=np.int64)]))
-            read_from.append(len(prompt))
-            owners.append((i, 0))
-            if include_stay and t > 1:
-                cont = self.continuation_ids(h.records[t - 2].occupation)
+            prompt = [self.vocab.bos_id] + self.vocab.encode(render(h, t))
+            for which in (0, 1) if t > 1 else (0,):
+                cont = self.continuation_ids(h.records[t - 1 - which].occupation)
                 self._check_fits(len(prompt) + len(cont))
-                seqs.append(np.concatenate([prompt, np.asarray(cont, dtype=np.int64)]))
+                seqs.append(np.asarray(prompt + cont, dtype=np.int64))
                 read_from.append(len(prompt))
-                owners.append((i, 1))
+                owners.append((i, which))
         logp_true = np.full(len(items), np.nan)
         p_stay = np.full(len(items), np.nan)
         order = sorted(range(len(seqs)), key=lambda j: len(seqs[j]))
-        for start in range(0, len(order), batch_size):
-            chunk_idx = order[start : start + batch_size]
+        for start in range(0, len(order), _BATCH):
+            chunk_idx = order[start : start + _BATCH]
             lps = self.lm.batched_log_probs(
                 [seqs[j] for j in chunk_idx], [read_from[j] for j in chunk_idx], pad_id=self.vocab.eos_id
             )

@@ -24,14 +24,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import autograd as ag
-from ..corpus import CareerHistory, Education, Ethnicity, Gender, Region
+from ..corpus import EDUCATIONS, ETHNICITIES, GENDERS, REGIONS, CareerHistory
 from ..taxonomy import OccupationTaxonomy
 from .checkpoint import load_checkpoint, save_checkpoint
-
-_EDU_LIST = list(Education)
-_GENDER_LIST = list(Gender)
-_ETH_LIST = list(Ethnicity)
-_REGION_LIST = list(Region)
 
 _YEAR_BUCKET_SPAN = 5
 _NEG = -1e30
@@ -83,10 +78,10 @@ class CareerModel:
 
         p: dict[str, np.ndarray] = {
             "occ_emb": normal(k + 1, c.d_model),  # last row: null occupation at t=1
-            "gender_emb": normal(len(_GENDER_LIST), c.d_model),
-            "eth_emb": normal(len(_ETH_LIST), c.d_model),
-            "region_emb": normal(len(_REGION_LIST), c.d_model),
-            "edu_emb": normal(len(_EDU_LIST), c.d_model),
+            "gender_emb": normal(len(GENDERS), c.d_model),
+            "eth_emb": normal(len(ETHNICITIES), c.d_model),
+            "region_emb": normal(len(REGIONS), c.d_model),
+            "edu_emb": normal(len(EDUCATIONS), c.d_model),
             "year_emb": normal(n_buckets, c.d_model),
             "time_emb": normal(c.max_positions, c.d_model),
             "eta": np.zeros(c.d_model, dtype=dtype),
@@ -141,14 +136,14 @@ class CareerModel:
         eth = np.zeros(b, dtype=np.int64)
         region = np.zeros(b, dtype=np.int64)
         for i, h in enumerate(histories):
-            gender[i] = _GENDER_LIST.index(h.static.gender)
-            eth[i] = _ETH_LIST.index(h.static.ethnicity)
-            region[i] = _REGION_LIST.index(h.static.region)
+            gender[i] = GENDERS.index(h.static.gender)
+            eth[i] = ETHNICITIES.index(h.static.ethnicity)
+            region[i] = REGIONS.index(h.static.region)
             for j, rec in enumerate(h.records):
                 if j > 0:
                     prev[i, j] = idx(h.records[j - 1].occupation)
                 target[i, j] = idx(rec.occupation)
-                edu[i, j] = _EDU_LIST.index(rec.education)
+                edu[i, j] = EDUCATIONS.index(rec.education)
                 year[i, j] = self.year_bucket(rec.year)
                 valid[i, j] = 1.0
         return {
@@ -219,12 +214,12 @@ class CareerModel:
         move_logit = h @ eta
         for i in range(h.shape[0]):
             if prev[i] == self.null_index:
-                out[i] = _softmax_np(occ_logits[i])
+                out[i] = ag.softmax_np(occ_logits[i])
             else:
                 p_move = 1.0 / (1.0 + np.exp(-move_logit[i]))
                 row = occ_logits[i].copy()
                 row[prev[i]] = _NEG
-                mover = _softmax_np(row)
+                mover = ag.softmax_np(row)
                 out[i] = p_move * mover
                 out[i, prev[i]] = 1.0 - p_move
         return out
@@ -239,9 +234,6 @@ class CareerModel:
         if not (1 <= t <= len(history)):
             raise ValueError(f"transition index {t} out of range 1..{len(history)}")
         return self.predict_all(history)[t - 1]
-
-    def log_prob(self, history: CareerHistory, t: int, code: int) -> float:
-        return float(np.log(self.predict(history, t)[self.taxonomy.index_of(code)]))
 
     # ------------------------------------------------------------- training
 
@@ -298,9 +290,3 @@ class CareerModel:
         model = cls(CareerConfig(**config), taxonomy, seed=0)
         model.params = {k: v.astype(np.float32) for k, v in params.items()}
         return model
-
-
-def _softmax_np(row: np.ndarray) -> np.ndarray:
-    shifted = row - row.max()
-    e = np.exp(shifted)
-    return e / e.sum()

@@ -60,9 +60,6 @@ class EmpiricalModel:
             return numer / (self.count_single[prev_index] + self.taxonomy.size)
         return numer / (self.count_single[prev_index] + 1.0)
 
-    def log_prob(self, history: CareerHistory, t: int, code: int) -> float:
-        return float(np.log(self.predict(history, t)[self.taxonomy.index_of(code)]))
-
     # ------------------------------------------------------------------ IO
 
     def save(self, path) -> None:

@@ -13,14 +13,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..corpus import CareerHistory, Education, Ethnicity, Gender, Region
+from ..autograd import softmax_np
+from ..corpus import EDUCATIONS, ETHNICITIES, GENDERS, REGIONS, CareerHistory
 from ..taxonomy import OccupationTaxonomy
 from .checkpoint import load_checkpoint, save_checkpoint
-
-_EDU_LIST = list(Education)
-_GENDER_LIST = list(Gender)
-_ETH_LIST = list(Ethnicity)
-_REGION_LIST = list(Region)
 
 
 class Featurizer:
@@ -56,7 +52,7 @@ class PrevCovariatesFeaturizer(Featurizer):
         self.taxonomy = taxonomy
         self.year_range = year_range
         self.name = "prev_covariates"
-        self.dim = (taxonomy.size + 1) + len(_GENDER_LIST) + len(_ETH_LIST) + len(_REGION_LIST) + len(_EDU_LIST) + 1
+        self.dim = (taxonomy.size + 1) + len(GENDERS) + len(ETHNICITIES) + len(REGIONS) + len(EDUCATIONS) + 1
 
     def transform(self, history: CareerHistory, t: int) -> np.ndarray:
         k = self.taxonomy.size
@@ -66,15 +62,15 @@ class PrevCovariatesFeaturizer(Featurizer):
         else:
             x[self.taxonomy.index_of(history.records[t - 2].occupation)] = 1.0
         off = k + 1
-        x[off + _GENDER_LIST.index(history.static.gender)] = 1.0
-        off += len(_GENDER_LIST)
-        x[off + _ETH_LIST.index(history.static.ethnicity)] = 1.0
-        off += len(_ETH_LIST)
-        x[off + _REGION_LIST.index(history.static.region)] = 1.0
-        off += len(_REGION_LIST)
+        x[off + GENDERS.index(history.static.gender)] = 1.0
+        off += len(GENDERS)
+        x[off + ETHNICITIES.index(history.static.ethnicity)] = 1.0
+        off += len(ETHNICITIES)
+        x[off + REGIONS.index(history.static.region)] = 1.0
+        off += len(REGIONS)
         rec = history.records[t - 1]
-        x[off + _EDU_LIST.index(rec.education)] = 1.0
-        off += len(_EDU_LIST)
+        x[off + EDUCATIONS.index(rec.education)] = 1.0
+        off += len(EDUCATIONS)
         y0, y1 = self.year_range
         x[off] = (rec.year - y0) / max(y1 - y0, 1)
         return x
@@ -166,13 +162,7 @@ class MnlModel:
     # ------------------------------------------------------------ predicting
 
     def predict(self, history: CareerHistory, t: int) -> np.ndarray:
-        z = self.featurizer.transform(history, t) @ self.weights
-        z -= z.max()
-        p = np.exp(z)
-        return p / p.sum()
-
-    def log_prob(self, history: CareerHistory, t: int, code: int) -> float:
-        return float(np.log(self.predict(history, t)[self.taxonomy.index_of(code)]))
+        return softmax_np(self.featurizer.transform(history, t) @ self.weights)
 
     # ------------------------------------------------------------------- IO
 

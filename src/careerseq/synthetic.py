@@ -25,22 +25,18 @@ from typing import Optional
 
 import numpy as np
 
+from .autograd import softmax_np
 from .corpus import (
+    EDUCATIONS,
+    ETHNICITIES,
+    GENDERS,
+    REGIONS,
     CareerHistory,
     CareerRecord,
     Dataset,
-    Education,
-    Ethnicity,
-    Gender,
-    Region,
     StaticCovariates,
 )
 from .taxonomy import OccupationTaxonomy, build_default_taxonomy
-
-GENDERS = list(Gender)
-ETHNICITIES = list(Ethnicity)
-REGIONS = list(Region)
-EDUCATIONS = list(Education)
 
 _ETHNICITY_PROBS = np.array([0.55, 0.25, 0.15, 0.05])
 _REGION_PROBS = np.array([0.18, 0.24, 0.38, 0.20])
@@ -156,14 +152,14 @@ class GeneratorParams:
         return self.covariate_logits(static) + self.cfg.year_weight * self.year_logits[self.year_bucket(year)]
 
     def initial_distribution(self, static: StaticCovariates, year: int) -> np.ndarray:
-        return _softmax(self.init_logits + self.context_logits(static, year))
+        return softmax_np(self.init_logits + self.context_logits(static, year))
 
     def step_matrix(self, static: StaticCovariates, year: int) -> np.ndarray:
         """One-year transition matrix M[prev, next] at ``year`` (first-order part)."""
         ctx = self.context_logits(static, year)
         logits = self.trans_logits + ctx[None, :]
         logits = logits + self.stay_bonus * np.eye(self.k)
-        return _softmax(logits, axis=1)
+        return softmax_np(logits, axis=1)
 
     def save(self, path) -> None:
         np.savez(
@@ -208,12 +204,6 @@ def _cfg_from_obj(obj: dict) -> SyntheticConfig:
     obj = dict(obj)
     obj["year_range"] = tuple(obj["year_range"])
     return SyntheticConfig(**obj)
-
-
-def _softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    w = np.exp(shifted)
-    return w / w.sum(axis=axis, keepdims=True)
 
 
 def build_params(cfg: SyntheticConfig) -> GeneratorParams:
@@ -410,10 +400,6 @@ class OracleModel:
             filt.observe(self.taxonomy.index_of(rec.occupation))
         return out
 
-    def log_prob(self, history: CareerHistory, t: int, code: int) -> float:
-        dist = self.predict(history, t)
-        return float(np.log(dist[self.taxonomy.index_of(code)]))
-
 
 # --------------------------------------------------------------------------
 # Generation
@@ -471,7 +457,7 @@ def generate_synthetic(
                 logits = logits.copy()
                 logits[state] += params.stay_bonus
                 prev2 = state
-                state = int(rng.choice(k, p=_softmax(logits)))
+                state = int(rng.choice(k, p=softmax_np(logits)))
             if edu_idx < len(EDUCATIONS) - 1 and rng.random() < _EDUCATION_UPGRADE_PROB:
                 edu_idx += 1
             records.append(CareerRecord(year, EDUCATIONS[edu_idx], taxonomy.code_at(state)))

@@ -9,7 +9,6 @@ dense indices obtained through :meth:`OccupationTaxonomy.index_of`.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -159,15 +158,6 @@ class OccupationTaxonomy:
                     )
                 )
         return cls(entries)
-
-    def dumps_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(FORMAT_HEADER + "\n")
-        writer = csv.writer(buf)
-        writer.writerow(["code", "title", "kind"])
-        for e in self.entries:
-            writer.writerow([e.code, e.title, e.kind.value])
-        return buf.getvalue()
 
 
 # --------------------------------------------------------------------------

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from careerseq.autograd import softmax_np as _softmax
 from careerseq.corpus import CareerHistory, CareerRecord, Education, summarize
 from careerseq.synthetic import (
     GeneratorParams,
     OracleModel,
     SyntheticConfig,
     SyntheticConfigError,
-    _softmax,
     generate_synthetic,
     oracle_probability,
 )
