@@ -220,6 +220,12 @@ def softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def log_softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Stable log-softmax of a plain array (no graph)."""
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
 def masked_softmax(a: Tensor, mask: Optional[np.ndarray], axis: int = -1) -> Tensor:
     """Softmax of ``a + mask`` where ``mask`` is a constant additive array
     (e.g. a causal mask); fused to avoid materializing the sum."""
@@ -234,9 +240,7 @@ def masked_softmax(a: Tensor, mask: Optional[np.ndarray], axis: int = -1) -> Ten
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
+    out_data = log_softmax_np(a.data, axis=axis)
 
     def backward(grad):
         if a.requires_grad:

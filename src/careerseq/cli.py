@@ -67,7 +67,7 @@ def main(argv) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
     try:
-        _apply_config_file(args, argv)
+        _apply_config_file(args, argv, parser)
         args.seed = _resolve_seed(args)
         args.func(args)
         return EXIT_OK
@@ -88,17 +88,28 @@ def _resolve_seed(args) -> int:
     return int(seed)
 
 
-def _apply_config_file(args, argv) -> None:
-    """Fill args from a JSON config; flags explicitly present in argv win."""
+def _apply_config_file(args, argv, parser: argparse.ArgumentParser) -> None:
+    """Fill args from a JSON config; flags explicitly present in argv win.
+
+    Keys are the subcommand's option destinations, spelled with hyphens or
+    underscores (``taxonomy-size``, ``taxonomy_size``); any other key is a
+    configuration error."""
     path = getattr(args, "config", None)
     if not path:
         return
     with open(path, "r", encoding="utf-8") as fh:
         values = json.load(fh)
-    given = {tok.split("=", 1)[0].lstrip("-").replace("-", "_") for tok in argv if tok.startswith("--")}
+    if not isinstance(values, dict):
+        raise CliError(f"--config {path} must hold a JSON object")
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = subparsers.choices[args.command]._actions
+    dest_of = {flag: a.dest for a in options for flag in a.option_strings if a.dest not in ("help", "config")}
+    given = {dest_of.get(tok.split("=", 1)[0]) for tok in argv if tok.startswith("--")}
     for key, value in values.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in given:
+        if attr not in dest_of.values():
+            raise CliError(f"unknown key {key!r} in --config {path}")
+        if attr not in given:
             setattr(args, attr, value)
 
 
@@ -317,6 +328,7 @@ def cmd_train(args) -> None:
         raise CliError("training data must carry split labels (run `careerseq split` first)")
     train, valid = ds.split("train"), ds.split("valid")
     out = Path(args.out)
+    report = None
     if args.model == "empirical":
         model = EmpiricalModel(taxonomy, normalized=False).fit(train)
         model.save(out)
@@ -352,8 +364,6 @@ def cmd_train(args) -> None:
         )
         report = train_career(model, train, valid, pretrain=pretrain, cfg=cfg)
         model.save(out)
-        report.to_csv(out / "train_report.csv")
-        report.to_json(out / "train_report.json")
     else:  # lm
         codec = _codec_from_args(args, taxonomy)
         tr_texts = [codec.render_full(h) for h in train]
@@ -389,6 +399,7 @@ def cmd_train(args) -> None:
         )
         report, _ = train_token_lm(lm, vocab, tr_texts, va_texts, cfg)
         save_token_lm(lm, vocab, out)
+    if report is not None:
         report.to_csv(out / "train_report.csv")
         report.to_json(out / "train_report.json")
     print(f"saved {args.model} checkpoint to {out}", file=sys.stderr)
@@ -609,14 +620,17 @@ def cmd_report(args) -> None:
     hashes = set()
     all_rows: list[dict] = []
     calib_rows: list[dict] = []
+    tables = {tuple(ev.METRICS_COLUMNS): all_rows, tuple(ev.CALIBRATION_COLUMNS): calib_rows}
     for path in files:
         try:
-            rows, provenance = ev.read_metrics_csv(path)
+            columns, rows, provenance = ev.read_stamped_csv(path)
         except ev.EvalError:
+            continue
+        if tuple(columns) not in tables:  # another careerseq table, e.g. an experiment's
             continue
         if "config_hash" in provenance:
             hashes.add(provenance["config_hash"])
-        (calib_rows if path.name.startswith("calibration") else all_rows).extend(rows)
+        tables[tuple(columns)].extend(rows)
     if len(hashes) > 1 and not args.force:
         raise CliError(f"metrics mix {len(hashes)} config hashes; pass --force to combine them")
     out = Path(args.out)

@@ -555,8 +555,14 @@ def write_metrics_csv(path, rows: Iterable[dict], provenance: dict) -> None:
 
 
 def read_metrics_csv(path) -> tuple[list[dict], dict]:
+    _, rows, provenance = read_stamped_csv(path)
+    return rows, provenance
+
+
+def read_stamped_csv(path) -> tuple[list[str], list[dict], dict]:
+    """Header row, rows and provenance of a file written by
+    ``write_stamped_csv``; raises EvalError without the format header."""
     provenance: dict[str, str] = {}
-    rows: list[dict] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         first = fh.readline().rstrip("\n")
         if first != FORMAT_HEADER:
@@ -569,9 +575,9 @@ def read_metrics_csv(path) -> tuple[list[dict], dict]:
             pos = fh.tell()
             line = fh.readline()
         fh.seek(pos)
-        for row in csv.DictReader(fh):
-            rows.append(row)
-    return rows, provenance
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    return reader.fieldnames or [], rows, provenance
 
 
 def write_calibration_csv(path, report: CalibrationReport, provenance: dict) -> None:

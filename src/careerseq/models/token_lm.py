@@ -126,17 +126,14 @@ class TokenLM:
         if not ids:
             raise ValueError("context must contain at least one token (BOS)")
         logits, _, _ = self.forward(np.asarray(ids, dtype=np.int64))
-        row = logits.data[0, -1]
-        row = row - row.max()
-        p = np.exp(row)
-        return p / p.sum()
+        return ag.softmax_np(logits.data[0, -1])
 
     def sequence_log_probs(self, ids: Sequence[int], from_position: int) -> np.ndarray:
         """Log-probabilities of ``ids[from_position:]`` under teacher forcing,
         each conditioned on all earlier tokens, in one forward pass."""
         arr = np.asarray(ids, dtype=np.int64)
         logits, _, _ = self.forward(arr)
-        lp = _log_softmax_np(logits.data[0])
+        lp = ag.log_softmax_np(logits.data[0])
         positions = np.arange(from_position - 1, arr.size - 1)
         return lp[positions, arr[from_position:]]
 
@@ -151,7 +148,7 @@ class TokenLM:
         logits, _, _ = self.forward(ids)
         out = []
         for i, s in enumerate(sequences):
-            lp = _log_softmax_np(logits.data[i])
+            lp = ag.log_softmax_np(logits.data[i])
             positions = np.arange(read_from[i] - 1, len(s) - 1)
             out.append(lp[positions, np.asarray(s[read_from[i]:])])
         return out
@@ -195,11 +192,6 @@ def _slice_time(t: ag.Tensor, start: int, stop: int) -> ag.Tensor:
             t._accumulate(g)
 
     return ag._node(data, (t,), backward)
-
-
-def _log_softmax_np(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def collate_token_batch(token_lists: list[list[int]], pad_id: int) -> dict:

@@ -1,5 +1,5 @@
-"""Optimization: Adam/SGD with decoupled weight decay, warmup and decay
-schedules, seeded epoch loops for the token LM and the career model,
+"""Optimization: Adam with decoupled weight decay, warmup and decay
+schedules, one seeded epoch loop shared by the token LM and the career model,
 validation-based checkpoint selection, and finite-difference gradient checks.
 
 Training is single-threaded and bit-deterministic for a fixed seed: the
@@ -12,9 +12,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -63,7 +63,6 @@ class LrSchedule:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    kind: str = "adam"  # adam | sgd
     betas: tuple[float, float] = (0.9, 0.98)
     weight_decay: float = 0.0
     lr_schedule: LrSchedule = LrSchedule(kind="linear_decay", peak=1e-3)
@@ -78,8 +77,6 @@ class OptimizerConfig:
             raise ValueError("betas must lie in [0, 1)")
         if self.lr_schedule.warmup_steps < 1:
             raise ValueError("warmup_steps must be >= 1")
-        if self.kind not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
 
 
 class AdamState:
@@ -113,21 +110,6 @@ class AdamState:
             params[name] = new.astype(p.dtype)
 
 
-class SgdState:
-    def __init__(self, like: dict[str, np.ndarray]):
-        pass
-
-    def update(self, params, grads, lr, betas, weight_decay, step) -> None:
-        for name in sorted(grads):
-            p = params[name]
-            g = np.asarray(grads[name], dtype=np.float64) + weight_decay * p.astype(np.float64)
-            params[name] = (p.astype(np.float64) - lr * g).astype(p.dtype)
-
-
-def make_optimizer(cfg: OptimizerConfig, params: dict[str, np.ndarray]):
-    return AdamState(params) if cfg.kind == "adam" else SgdState(params)
-
-
 # --------------------------------------------------------------------------
 # Reports and checkpoint selection
 # --------------------------------------------------------------------------
@@ -139,7 +121,6 @@ class EpochRecord:
     train_loss: float
     valid_loss: float
     checkpoint_id: str
-    wall_time: float
 
 
 @dataclass
@@ -168,13 +149,68 @@ def select_checkpoint(report: TrainReport) -> str:
 
 
 # --------------------------------------------------------------------------
-# Token-LM training
+# The epoch loop
 # --------------------------------------------------------------------------
 
 
 def _check_finite(loss: float, epoch: int, step: int) -> None:
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"loss became {loss} at epoch {epoch} step {step}")
+
+
+def _epochs_since_best(report: TrainReport) -> int:
+    losses = [r.valid_loss for r in report.epochs]
+    return len(losses) - 1 - int(np.argmin(losses))
+
+
+def _fit(model, train: Sequence, batch_of: Callable, cfg: OptimizerConfig, valid_loss: Optional[Callable] = None):
+    """Seeded Adam epochs over ``train``, batched by ``batch_of``. With
+    ``valid_loss`` every epoch is scored and snapshotted, patience applies, and
+    the model ends at the best snapshot; without it (pre-training) nothing is
+    recorded. Returns the report and the snapshots keyed by checkpoint id."""
+    opt = AdamState(model.params)
+    n = len(train)
+    steps_per_epoch = -(-n // cfg.batch_sequences)
+    total_steps = steps_per_epoch * cfg.max_epochs
+    report = TrainReport()
+    snapshots: dict[str, dict[str, np.ndarray]] = {}
+    step = 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = np.random.default_rng(derive_seed(cfg.seed, "shuffle", epoch)).permutation(n)
+        losses = []
+        for start in range(0, n, cfg.batch_sequences):
+            batch = batch_of([train[i] for i in order[start : start + cfg.batch_sequences]])
+            loss, grads = model.loss_and_grads(batch)
+            step += 1
+            _check_finite(loss, epoch, step)
+            opt.update(model.params, grads, cfg.lr_schedule.lr_at(step, total_steps), cfg.betas, cfg.weight_decay, step)
+            losses.append(loss)
+        if valid_loss is None:
+            continue
+        ckpt_id = f"epoch-{epoch}"
+        report.epochs.append(EpochRecord(epoch, float(np.mean(losses)), valid_loss(), ckpt_id))
+        snapshots[ckpt_id] = {k: v.copy() for k, v in model.params.items()}
+        if cfg.patience is not None and _epochs_since_best(report) >= cfg.patience:
+            break
+    if report.epochs:
+        model.params = {k: v.copy() for k, v in snapshots[select_checkpoint(report)].items()}
+    return report, snapshots
+
+
+def _mean_loss(model, items: Sequence, batch_sequences: int, batch_of: Callable, weights: str) -> float:
+    """Per-target mean: batch losses weighted by their ``batch[weights]`` counts."""
+    total, count = 0.0, 0.0
+    for start in range(0, len(items), batch_sequences):
+        batch = batch_of(list(items[start : start + batch_sequences]))
+        n = batch[weights].sum()
+        total += model.loss(batch) * n
+        count += n
+    return float(total / count)
+
+
+# --------------------------------------------------------------------------
+# Token-LM training
+# --------------------------------------------------------------------------
 
 
 def train_token_lm(
@@ -198,50 +234,12 @@ def train_token_lm(
     longest = max(len(s) for s in train_seqs + valid_seqs)
     if longest > model.config.context:
         raise ValueError(f"a template spans {longest} tokens, over the {model.config.context} context cap")
-    opt = make_optimizer(cfg, model.params)
-    n = len(train_seqs)
-    steps_per_epoch = -(-n // cfg.batch_sequences)
-    total_steps = steps_per_epoch * cfg.max_epochs
-    report = TrainReport()
-    snapshots: dict[str, dict[str, np.ndarray]] = {}
-    step = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        t0 = time.perf_counter()
-        order = np.random.default_rng(derive_seed(cfg.seed, "shuffle", epoch)).permutation(n)
-        losses = []
-        for start in range(0, n, cfg.batch_sequences):
-            batch_seqs = [train_seqs[i] for i in order[start : start + cfg.batch_sequences]]
-            batch = collate_token_batch(batch_seqs, pad_id=vocab.eos_id)
-            loss, grads = model.loss_and_grads(batch)
-            step += 1
-            _check_finite(loss, epoch, step)
-            opt.update(model.params, grads, cfg.lr_schedule.lr_at(step, total_steps), cfg.betas, cfg.weight_decay, step)
-            losses.append(loss)
-        valid_loss = evaluate_token_loss(model, vocab, valid_seqs, cfg.batch_sequences)
-        ckpt_id = f"epoch-{epoch}"
-        snapshots[ckpt_id] = {k: v.copy() for k, v in model.params.items()}
-        report.epochs.append(
-            EpochRecord(epoch, float(np.mean(losses)), valid_loss, ckpt_id, time.perf_counter() - t0)
-        )
-        if cfg.patience is not None and _epochs_since_best(report) >= cfg.patience:
-            break
-    model.params = {k: v.copy() for k, v in snapshots[select_checkpoint(report)].items()}
-    return report, snapshots
+    valid_loss = partial(evaluate_token_loss, model, vocab, valid_seqs, cfg.batch_sequences)
+    return _fit(model, train_seqs, partial(collate_token_batch, pad_id=vocab.eos_id), cfg, valid_loss)
 
 
 def evaluate_token_loss(model: TokenLM, vocab: Vocabulary, seqs: Sequence[list[int]], batch_sequences: int) -> float:
-    total, count = 0.0, 0.0
-    for start in range(0, len(seqs), batch_sequences):
-        batch = collate_token_batch(list(seqs[start : start + batch_sequences]), pad_id=vocab.eos_id)
-        n_targets = batch["mask"].sum()
-        total += model.loss(batch) * n_targets
-        count += n_targets
-    return float(total / count)
-
-
-def _epochs_since_best(report: TrainReport) -> int:
-    losses = [r.valid_loss for r in report.epochs]
-    return len(losses) - 1 - int(np.argmin(losses))
+    return _mean_loss(model, seqs, batch_sequences, partial(collate_token_batch, pad_id=vocab.eos_id), "mask")
 
 
 # --------------------------------------------------------------------------
@@ -270,53 +268,13 @@ def train_career(
         pcfg = pretrain_cfg or OptimizerConfig(
             lr_schedule=PRETRAIN_SCHEDULE, max_epochs=3, weight_decay=0.01, seed=cfg.seed
         )
-        _career_phase(model, list(pretrain), None, pcfg, TrainReport(), snapshots=None)
-    report = TrainReport()
-    snapshots: dict[str, dict[str, np.ndarray]] = {}
-    _career_phase(model, list(train), list(valid), cfg, report, snapshots)
-    model.params = {k: v.copy() for k, v in snapshots[select_checkpoint(report)].items()}
-    return report
-
-
-def _career_phase(model, train, valid, cfg, report, snapshots) -> None:
-    opt = make_optimizer(cfg, model.params)
-    n = len(train)
-    steps_per_epoch = -(-n // cfg.batch_sequences)
-    total_steps = steps_per_epoch * cfg.max_epochs
-    step = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        t0 = time.perf_counter()
-        order = np.random.default_rng(derive_seed(cfg.seed, "shuffle", epoch)).permutation(n)
-        losses = []
-        for start in range(0, n, cfg.batch_sequences):
-            chunk = [train[i] for i in order[start : start + cfg.batch_sequences]]
-            batch = model.build_batch(chunk)
-            loss, grads = model.loss_and_grads(batch)
-            step += 1
-            _check_finite(loss, epoch, step)
-            opt.update(model.params, grads, cfg.lr_schedule.lr_at(step, total_steps), cfg.betas, cfg.weight_decay, step)
-            losses.append(loss)
-        if valid is None:
-            continue
-        valid_loss = evaluate_career_loss(model, valid, cfg.batch_sequences)
-        ckpt_id = f"epoch-{epoch}"
-        snapshots[ckpt_id] = {k: v.copy() for k, v in model.params.items()}
-        report.epochs.append(
-            EpochRecord(epoch, float(np.mean(losses)), valid_loss, ckpt_id, time.perf_counter() - t0)
-        )
-        if cfg.patience is not None and _epochs_since_best(report) >= cfg.patience:
-            break
+        _fit(model, list(pretrain), model.build_batch, pcfg)
+    valid_loss = partial(evaluate_career_loss, model, valid, cfg.batch_sequences)
+    return _fit(model, list(train), model.build_batch, cfg, valid_loss)[0]
 
 
 def evaluate_career_loss(model: CareerModel, histories: Sequence[CareerHistory], batch_sequences: int) -> float:
-    total, count = 0.0, 0.0
-    for start in range(0, len(histories), batch_sequences):
-        chunk = list(histories[start : start + batch_sequences])
-        batch = model.build_batch(chunk)
-        n = batch["valid"].sum()
-        total += model.loss(batch) * n
-        count += n
-    return float(total / count)
+    return _mean_loss(model, histories, batch_sequences, model.build_batch, "valid")
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from careerseq.cli import main
 from careerseq.corpus import load_jsonl
 from careerseq.evaluation import read_metrics_csv
+from careerseq.experiments import write_experiment_output
 from careerseq.taxonomy import OccupationTaxonomy, build_default_taxonomy
 
 SUBCOMMANDS = ["gen-data", "split", "render", "parse", "train", "eval", "experiment", "report"]
@@ -69,6 +70,14 @@ class TestUsage:
         tax = OccupationTaxonomy.load_csv(out.with_suffix(".taxonomy.csv"))
         ds = load_jsonl(out, tax)
         assert len(ds.individuals) == 7
+
+    @pytest.mark.parametrize("key", ["no_such_option", "func", "command", "config"])
+    def test_config_file_unknown_key_exits_two(self, tmp_path, key, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 7, key: 1}))
+        assert main(["gen-data", "--out", str(tmp_path / "d.jsonl"), "--config", str(cfg), "--seed", "1"]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "d.jsonl").exists()
 
 
 class TestRenderParse:
@@ -154,6 +163,25 @@ class TestTrainEval:
             outs.append((out / "metrics.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("model, flags", [
+        ("career", ["--d-model", "16", "--n-layers", "1", "--epochs", "2", "--batch", "8"]),
+        ("lm", ["--vocab-size", "400", "--d-model", "16", "--n-layers", "1", "--epochs", "1", "--batch", "16",
+                "--context", "64"]),
+    ])
+    def test_train_report_byte_identical(self, pipeline, model, flags):
+        d = pipeline
+        if model == "career":  # both phases: pre-training on the unsplit data, then fine-tuning
+            flags = ["--pretrain-data", str(d["data"]), *flags]
+        reports = []
+        for name in ("t1", "t2"):
+            out = d["dir"] / name
+            assert main(["train", model, "--data", str(d["split"]), "--taxonomy", str(d["tax"]),
+                         "--out", str(out), "--seed", "3", *flags]) == 0
+            reports.append((out / "train_report.json").read_bytes())
+        assert reports[0] == reports[1]
+        rows = json.loads(reports[0])
+        assert rows and set(rows[0]) == {"epoch", "train_loss", "valid_loss", "checkpoint_id"}
+
     def test_mnl_eval_rejected_with_guidance(self, pipeline, capsys):
         d = pipeline
         ckpt = d["dir"] / "mnl"
@@ -217,3 +245,21 @@ class TestReport:
               "--gen-params", str(d["params"]), "--out", str(mixed / "b"), "--bootstrap", "10", "--seed", "2"])
         assert main(["report", "--metrics", str(mixed), "--out", str(d["dir"] / "rm"), "--seed", "0"]) == 2
         assert main(["report", "--metrics", str(mixed), "--out", str(d["dir"] / "rm"), "--force", "--seed", "0"]) == 0
+
+    @pytest.mark.parametrize("same_hash", [True, False])
+    def test_experiment_csvs_skipped(self, pipeline, same_hash):
+        d = pipeline
+        ckpt = d["dir"] / "emp5"
+        main(["train", "empirical", "--data", str(d["split"]), "--taxonomy", str(d["tax"]),
+              "--out", str(ckpt), "--seed", "1"])
+        m = d["dir"] / "m"
+        assert main(["eval", "--data", str(d["split"]), "--taxonomy", str(d["tax"]), "--model-a", str(ckpt),
+                     "--out", str(m), "--bootstrap", "10", "--seed", "2"]) == 0
+        evaluated, provenance = read_metrics_csv(m / "metrics.csv")
+        # an experiment table is neither metrics nor calibration, and its hash does not count for --force
+        config_hash = provenance["config_hash"] if same_hash else "other"
+        write_experiment_output(m, "gap_year", [{"t": 2, "direct": 0.25, "compound": 0.5}], {"config_hash": config_hash})
+        out = d["dir"] / "rep"
+        assert main(["report", "--metrics", str(m), "--out", str(out), "--seed", "0"]) == 0
+        combined, _ = read_metrics_csv(out / "metrics_combined.csv")
+        assert combined == sorted(evaluated, key=lambda r: (r["dataset"], r["model"], r["metric"], r["filter"]))

@@ -68,7 +68,7 @@ class TestSchedules:
 class TestSelectCheckpoint:
     def make(self, losses):
         return TrainReport(
-            epochs=[EpochRecord(i + 1, 0.0, v, f"epoch-{i + 1}", 0.0) for i, v in enumerate(losses)]
+            epochs=[EpochRecord(i + 1, 0.0, v, f"epoch-{i + 1}") for i, v in enumerate(losses)]
         )
 
     def test_monotone_decreasing_selects_last(self):
@@ -275,7 +275,7 @@ class TestGradientCheckHarness:
 
 class TestReportSerialization:
     def test_csv_and_json(self, tmp_path):
-        report = TrainReport(epochs=[EpochRecord(1, 2.0, 1.5, "epoch-1", 0.1), EpochRecord(2, 1.0, 1.6, "epoch-2", 0.1)])
+        report = TrainReport(epochs=[EpochRecord(1, 2.0, 1.5, "epoch-1"), EpochRecord(2, 1.0, 1.6, "epoch-2")])
         report.to_csv(tmp_path / "r.csv")
         report.to_json(tmp_path / "r.json")
         lines = (tmp_path / "r.csv").read_text().strip().split("\n")
