@@ -93,7 +93,8 @@ def _apply_config_file(args, argv, parser: argparse.ArgumentParser) -> None:
 
     Keys are the subcommand's option destinations, spelled with hyphens or
     underscores (``taxonomy-size``, ``taxonomy_size``); any other key is a
-    configuration error."""
+    configuration error. A non-null value goes through its option's ``type``
+    and ``choices`` as the same text given as a flag would."""
     path = getattr(args, "config", None)
     if not path:
         return
@@ -102,15 +103,24 @@ def _apply_config_file(args, argv, parser: argparse.ArgumentParser) -> None:
     if not isinstance(values, dict):
         raise CliError(f"--config {path} must hold a JSON object")
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    options = subparsers.choices[args.command]._actions
-    dest_of = {flag: a.dest for a in options for flag in a.option_strings if a.dest not in ("help", "config")}
+    actions = subparsers.choices[args.command]._actions
+    options = {a.dest: a for a in actions if a.option_strings and a.dest not in ("help", "config")}
+    dest_of = {flag: a.dest for a in options.values() for flag in a.option_strings}
     given = {dest_of.get(tok.split("=", 1)[0]) for tok in argv if tok.startswith("--")}
     for key, value in values.items():
-        attr = key.replace("-", "_")
-        if attr not in dest_of.values():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
             raise CliError(f"unknown key {key!r} in --config {path}")
-        if attr not in given:
-            setattr(args, attr, value)
+        if action.dest in given:
+            continue
+        if value is not None and action.type is not None:
+            try:
+                value = action.type(str(value))
+            except (TypeError, ValueError):
+                raise CliError(f"invalid value {value!r} for key {key!r} in --config {path}") from None
+        if value is not None and action.choices and value not in action.choices:
+            raise CliError(f"key {key!r} in --config {path} must be one of {list(action.choices)}, not {value!r}")
+        setattr(args, action.dest, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,58 +455,58 @@ def cmd_eval(args) -> None:
         "split": args.split,
         "bootstrap": args.bootstrap,
     }
-    rows = _metric_rows(args, "model_a", scores_a, bcfg)
+    calib = ev.calibration(scores_a)
     if args.model_b:
         model_b, hash_b = _load_model(args, args.model_b, taxonomy)
         scores_b = ev.score_model(model_b, histories, taxonomy)
-        rows.extend(_metric_rows(args, "model_b", scores_b, bcfg))
-        pair = ev.bootstrap_pair(ev.perplexity, scores_b, scores_a, bcfg)
+        pair = ev.bootstrap_pair(ev.perplexity, scores_b, scores_a, bcfg, threads=args.threads)
+        rows = _metric_rows(args, "model_a", scores_a, bcfg, pair.point_b, pair.se_b, calib)
+        rows.extend(_metric_rows(args, "model_b", scores_b, bcfg, pair.point_a, pair.se_a, ev.calibration(scores_b)))
         rows.append(
-            {
-                "dataset": args.dataset_name,
-                "split": args.split,
-                "model": "model_b-minus-model_a",
-                "metric": "perplexity_improvement",
-                "filter": "all",
-                "value": pair.diff,
-                "se": pair.se_diff,
-                "B": bcfg.b,
-                "seed": args.seed,
-            }
+            _metric_row(args, bcfg, "model_b-minus-model_a", "perplexity_improvement", "all", pair.diff, pair.se_diff)
         )
         provenance["config_hash_b"] = hash_b
+    else:
+        res = ev.bootstrap_metric(ev.perplexity, scores_a, bcfg, threads=args.threads)
+        rows = _metric_rows(args, "model_a", scores_a, bcfg, res.point, res.se, calib)
     ev.write_metrics_csv(out / "metrics.csv", rows, provenance)
-    calib = ev.calibration(scores_a)
     ev.write_calibration_csv(out / "calibration_model_a.csv", calib, provenance)
     print(f"wrote {out / 'metrics.csv'}", file=sys.stderr)
 
 
-def _metric_rows(args, model_label: str, scores: ev.TransitionScores, bcfg: ev.BootstrapConfig) -> list[dict]:
-    rows = []
+def _metric_row(args, bcfg: ev.BootstrapConfig, model: str, metric: str, filt: str, value, se="") -> dict:
+    return {
+        "dataset": args.dataset_name,
+        "split": args.split,
+        "model": model,
+        "metric": metric,
+        "filter": filt,
+        "value": value,
+        "se": se,
+        "B": bcfg.b,
+        "seed": args.seed,
+    }
 
-    def add(metric, filt, value, se=""):
-        rows.append(
-            {
-                "dataset": args.dataset_name,
-                "split": args.split,
-                "model": model_label,
-                "metric": metric,
-                "filter": filt,
-                "value": value,
-                "se": se,
-                "B": bcfg.b,
-                "seed": args.seed,
-            }
-        )
 
-    res = ev.bootstrap_metric(ev.perplexity, scores, bcfg, threads=args.threads)
-    add("perplexity", "all", res.point, res.se)
+def _metric_rows(
+    args,
+    model: str,
+    scores: ev.TransitionScores,
+    bcfg: ev.BootstrapConfig,
+    perplexity: float,
+    perplexity_se: float,
+    calib: ev.CalibrationReport,
+) -> list[dict]:
+    """One model's metric rows; its bootstrapped perplexity and calibration
+    come from the caller, which computes each once."""
     mov = ev.mover_perplexity(scores)
-    add("perplexity", "movers", mov.value)
-    add("excluded_transitions", "movers", float(mov.n_excluded))
-    add("auc_move", "non-first", ev.move_auc(scores))
-    add("calibration_error", "non-first", ev.calibration(scores).error)
-    return rows
+    return [
+        _metric_row(args, bcfg, model, "perplexity", "all", perplexity, perplexity_se),
+        _metric_row(args, bcfg, model, "perplexity", "movers", mov.value),
+        _metric_row(args, bcfg, model, "excluded_transitions", "movers", float(mov.n_excluded)),
+        _metric_row(args, bcfg, model, "auc_move", "non-first", ev.move_auc(scores)),
+        _metric_row(args, bcfg, model, "calibration_error", "non-first", calib.error),
+    ]
 
 
 def cmd_experiment(args) -> None:
@@ -586,8 +596,7 @@ def _run_numeric_titles_cli(spec, params: dict, taxonomy, ds) -> list[dict]:
     epochs = params.get("epochs", 3)
     vocab_target = params.get("vocab_size", 700)
 
-    def lm_trainer(texts_tr, texts_va, seed):
-        codec = codec_numeric if "job_" in texts_tr[0] else codec_literal
+    def lm_trainer(codec, texts_tr, texts_va, seed):
         continuations = [codec.title_continuation(c) for c in taxonomy.codes()]
         vocab = train_template_vocab(list(texts_tr), continuations, vocab_target)
         ctx = max(len(s) for s in vocab.encode_batch(list(texts_tr) + list(texts_va))) + 32
@@ -607,7 +616,7 @@ def _run_numeric_titles_cli(spec, params: dict, taxonomy, ds) -> list[dict]:
                 seed=spec.seed,
             ),
         )
-        return LmOccupationAdapter(lm, vocab, codec_literal)
+        return LmOccupationAdapter(lm, vocab, codec)
 
     return ex.run_numeric_titles(ds, lm_trainer, codec_literal, codec_numeric, seed=spec.seed)
 

@@ -355,6 +355,16 @@ class PairedBootstrapResult:
     values_a: np.ndarray
     values_b: np.ndarray
 
+    @property
+    def se_a(self) -> float:
+        """Standard error of model a's metric, as ``bootstrap_metric`` gives
+        it for the same ``cfg``."""
+        return float(self.values_a.std(ddof=1))
+
+    @property
+    def se_b(self) -> float:
+        return float(self.values_b.std(ddof=1))
+
 
 def bootstrap_pair(
     metric_fn: Callable[[TransitionScores], float],

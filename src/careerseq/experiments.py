@@ -34,6 +34,7 @@ from .evaluation import (
 from .models.adapter import GenerationConfig, LmOccupationAdapter
 from .models.token_lm import ContextOverflowError
 from .taxonomy import OccupationTaxonomy
+from .template import TemplateCodec
 from .training import derive_seed
 
 EXPERIMENT_KINDS = (
@@ -118,7 +119,6 @@ def run_data_mix(
         model = trainer(sample, derive_seed(seed, "mix-fit", p))
         for name, ds in datasets.items():
             scores = score_model(model, ds.split("test"), ds.taxonomy)
-            res = bootstrap_metric(perplexity, scores, replace(bootstrap, seed=derive_seed(seed, "se", name)))
             pair = bootstrap_pair(
                 perplexity, baselines[name], scores, replace(bootstrap, seed=derive_seed(seed, "se", name))
             )
@@ -127,8 +127,8 @@ def run_data_mix(
                     "p": p,
                     "eval_dataset": name,
                     "n_train_individuals": len(sample),
-                    "perplexity": res.point,
-                    "se": res.se,
+                    "perplexity": pair.point_b,
+                    "se": pair.se_b,
                     "diff_vs_baseline": pair.diff,
                     "diff_se": pair.se_diff,
                 }
@@ -166,7 +166,6 @@ def run_add_other_sources(
         train = base_train + [others[i] for i in idx]
         model = trainer(train, derive_seed(seed, "add-fit", p))
         scores = score_model(model, base_ds.split("test"), base_ds.taxonomy)
-        res = bootstrap_metric(perplexity, scores, replace(bootstrap, seed=derive_seed(seed, "se", base)))
         pair = bootstrap_pair(
             perplexity, baseline_scores, scores, replace(bootstrap, seed=derive_seed(seed, "se", base))
         )
@@ -175,8 +174,8 @@ def run_add_other_sources(
                 "p": p,
                 "eval_dataset": base,
                 "n_train_individuals": len(train),
-                "perplexity": res.point,
-                "se": res.se,
+                "perplexity": pair.point_b,
+                "se": pair.se_b,
                 "diff_vs_baseline": pair.diff,
                 "diff_se": pair.se_diff,
             }
@@ -231,26 +230,16 @@ def run_history_truncation(
             scores.individual_ids = np.array([h.individual_id for h, _ in group], dtype=object)
             scores.t_index = np.array([t for _, t in group], dtype=np.int64)
             cell_scores[k] = scores
+        cell_bootstrap = replace(bootstrap, seed=derive_seed(seed, "se", t_min))
         for k in ks:
-            res = bootstrap_metric(perplexity, cell_scores[k], replace(bootstrap, seed=derive_seed(seed, "se", t_min)))
-            row = {
-                "t_min": t_min,
-                "k": k,
-                "status": "ok",
-                "n": len(group),
-                "perplexity": res.point,
-                "se": res.se,
-            }
+            row = {"t_min": t_min, "k": k, "status": "ok", "n": len(group)}
             if k != baseline_k and baseline_k in cell_scores:
-                pair = bootstrap_pair(
-                    perplexity,
-                    cell_scores[baseline_k],
-                    cell_scores[k],
-                    replace(bootstrap, seed=derive_seed(seed, "se", t_min)),
-                )
+                pair = bootstrap_pair(perplexity, cell_scores[baseline_k], cell_scores[k], cell_bootstrap)
                 # improvement of k over the baseline window
-                row["delta_vs_k5"] = pair.diff
-                row["delta_se"] = pair.se_diff
+                row.update(perplexity=pair.point_b, se=pair.se_b, delta_vs_k5=pair.diff, delta_se=pair.se_diff)
+            else:
+                res = bootstrap_metric(perplexity, cell_scores[k], cell_bootstrap)
+                row.update(perplexity=res.point, se=res.se)
             rows.append(row)
     return rows
 
@@ -303,13 +292,12 @@ def run_covariate_randomization(
         modified = randomize_covariates(test, fields, donors, derive_seed(seed, "randomize", label))
         scores = score_model(model, modified, taxonomy)
         scores.individual_ids = actual.individual_ids.copy()
-        res = bootstrap_metric(perplexity, scores, replace(bootstrap, seed=derive_seed(seed, "se")))
         pair = bootstrap_pair(perplexity, scores, actual, replace(bootstrap, seed=derive_seed(seed, "se")))
         rows.append(
             {
                 "fields": label,
-                "perplexity": res.point,
-                "se": res.se,
+                "perplexity": pair.point_a,
+                "se": pair.se_a,
                 "delta_vs_actual": pair.diff,
                 "delta_se": pair.se_diff,
             }
@@ -324,7 +312,7 @@ def run_covariate_randomization(
 
 def run_numeric_titles(
     dataset: Dataset,
-    lm_trainer: Callable[[Sequence[str], Sequence[str], int], LmOccupationAdapter],
+    lm_trainer: Callable[[TemplateCodec, Sequence[str], Sequence[str], int], LmOccupationAdapter],
     codec_literal,
     codec_numeric,
     seed: int = 0,
@@ -332,23 +320,20 @@ def run_numeric_titles(
 ) -> list[dict]:
     """Train one LM on literal-title templates and one on numeric-title
     templates, then evaluate each on its own rendering of the same test
-    transitions. Emits the paired perplexity gap with the published
-    reference delta printed as an annotation."""
+    transitions. ``lm_trainer(codec, train_texts, valid_texts, seed)``
+    returns an adapter that renders with ``codec``. Emits the paired
+    perplexity gap with the published reference delta printed as an
+    annotation."""
     train, valid, test = dataset.split("train"), dataset.split("valid"), dataset.split("test")
-    rows = []
     scores_by_mode = {}
     for mode, codec in (("literal", codec_literal), ("numeric", codec_numeric)):
         adapter = lm_trainer(
+            codec,
             [codec.render_full(h) for h in train],
             [codec.render_full(h) for h in valid],
             derive_seed(seed, "lm", mode),
         )
-        adapter.codec = codec
-        adapter._cont_cache = {}
-        scores = score_model(adapter, test, dataset.taxonomy)
-        scores_by_mode[mode] = scores
-        res = bootstrap_metric(perplexity, scores, replace(bootstrap, seed=derive_seed(seed, "se")))
-        rows.append({"mode": mode, "perplexity": res.point, "se": res.se, "annotation": ""})
+        scores_by_mode[mode] = score_model(adapter, test, dataset.taxonomy)
     if not np.array_equal(scores_by_mode["literal"].individual_ids, scores_by_mode["numeric"].individual_ids):
         raise ExperimentError("literal and numeric runs scored different transitions")
     pair = bootstrap_pair(
@@ -357,15 +342,16 @@ def run_numeric_titles(
         scores_by_mode["literal"],
         replace(bootstrap, seed=derive_seed(seed, "se")),
     )
-    rows.append(
+    return [
+        {"mode": "literal", "perplexity": pair.point_b, "se": pair.se_b, "annotation": ""},
+        {"mode": "numeric", "perplexity": pair.point_a, "se": pair.se_a, "annotation": ""},
         {
             "mode": "numeric-minus-literal",
             "perplexity": pair.diff,
             "se": pair.se_diff,
             "annotation": "reference delta at production scale: +0.647 (PSID81)",
-        }
-    )
-    return rows
+        },
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -92,35 +92,36 @@ class LmOccupationAdapter:
         lps = self.lm.sequence_log_probs(prompt + cont, from_position=len(prompt))
         return float(lps.sum())
 
+    def _title_log_probs(self, pairs: Sequence[tuple[list[int], list[int]]]) -> np.ndarray:
+        """Summed log-probability of each continuation after its prompt, in
+        input order. Sequences run in length-sorted chunks of ``_BATCH``."""
+        seqs, read_from = [], []
+        for prompt, cont in pairs:
+            self._check_fits(len(prompt) + len(cont))
+            seqs.append(np.asarray(prompt + cont, dtype=np.int64))
+            read_from.append(len(prompt))
+        out = np.empty(len(seqs))
+        order = sorted(range(len(seqs)), key=lambda j: len(seqs[j]))
+        for start in range(0, len(order), _BATCH):
+            chunk = order[start : start + _BATCH]
+            lps = self.lm.batched_log_probs(
+                [seqs[j] for j in chunk], [read_from[j] for j in chunk], pad_id=self.vocab.eos_id
+            )
+            self.forward_calls += len(chunk)
+            for j, lp in zip(chunk, lps):
+                out[j] = lp.sum()
+        return out
+
     def job_distribution(self, history: CareerHistory, t: int, normalized: bool = False) -> np.ndarray:
         """Raw (default) or normalized scores over the taxonomy."""
-        prompt = np.asarray(self.prompt_ids(history, t), dtype=np.int64)
-        seqs, read_from = [], []
-        for code in self.taxonomy.codes():
-            cont = self.continuation_ids(code)
-            self._check_fits(len(prompt) + len(cont))
-            seqs.append(np.concatenate([prompt, np.asarray(cont, dtype=np.int64)]))
-            read_from.append(len(prompt))
-        raw = np.zeros(self.taxonomy.size)
-        for start in range(0, len(seqs), _BATCH):
-            chunk = seqs[start : start + _BATCH]
-            lps = self.lm.batched_log_probs(chunk, read_from[start : start + _BATCH], pad_id=self.vocab.eos_id)
-            self.forward_calls += len(chunk)
-            for j, lp in enumerate(lps):
-                raw[start + j] = np.exp(lp.sum())
+        prompt = self.prompt_ids(history, t)
+        raw = np.exp(self._title_log_probs([(prompt, self.continuation_ids(c)) for c in self.taxonomy.codes()]))
         if not normalized:
             return raw
         return raw / raw.sum()
 
     def predict(self, history: CareerHistory, t: int) -> np.ndarray:
         return self.job_distribution(history, t, normalized=False)
-
-    def stay_probability(self, history: CareerHistory, t: int) -> float:
-        """Raw score of the previous occupation's title (undefined at t=1)."""
-        if t == 1:
-            return float("nan")
-        prev = history.records[t - 2].occupation
-        return float(np.exp(self.joint_log_probability(history, t, prev)))
 
     def score_transitions(
         self,
@@ -131,33 +132,20 @@ class LmOccupationAdapter:
         for many (history, t) pairs; the stay column is NaN at t=1.
         ``prompt_text`` renders each prompt; the default is the codec's."""
         render = prompt_text or self.codec.render_prompt
-        seqs: list[np.ndarray] = []
-        read_from: list[int] = []
-        owners: list[tuple[int, int]] = []  # (item index, 0=true 1=stay)
-        for i, (h, t) in enumerate(items):
-            prompt = [self.vocab.bos_id] + self.vocab.encode(render(h, t))
-            for which in (0, 1) if t > 1 else (0,):
-                cont = self.continuation_ids(h.records[t - 1 - which].occupation)
-                self._check_fits(len(prompt) + len(cont))
-                seqs.append(np.asarray(prompt + cont, dtype=np.int64))
-                read_from.append(len(prompt))
-                owners.append((i, which))
-        logp_true = np.full(len(items), np.nan)
+        encoded = self.vocab.encode_batch([render(h, t) for h, t in items])
+        pairs, true_at, stay_at, stay_items = [], [], [], []
+        for i, ((h, t), ids) in enumerate(zip(items, encoded)):
+            prompt = [self.vocab.bos_id] + ids
+            true_at.append(len(pairs))
+            pairs.append((prompt, self.continuation_ids(h.records[t - 1].occupation)))
+            if t > 1:
+                stay_items.append(i)
+                stay_at.append(len(pairs))
+                pairs.append((prompt, self.continuation_ids(h.records[t - 2].occupation)))
+        lps = self._title_log_probs(pairs)
         p_stay = np.full(len(items), np.nan)
-        order = sorted(range(len(seqs)), key=lambda j: len(seqs[j]))
-        for start in range(0, len(order), _BATCH):
-            chunk_idx = order[start : start + _BATCH]
-            lps = self.lm.batched_log_probs(
-                [seqs[j] for j in chunk_idx], [read_from[j] for j in chunk_idx], pad_id=self.vocab.eos_id
-            )
-            self.forward_calls += len(chunk_idx)
-            for j, lp in zip(chunk_idx, lps):
-                item, which = owners[j]
-                if which == 0:
-                    logp_true[item] = lp.sum()
-                else:
-                    p_stay[item] = np.exp(lp.sum())
-        return logp_true, p_stay
+        p_stay[stay_items] = np.exp(lps[stay_at])
+        return lps[true_at], p_stay
 
     # ---------------------------------------------------------- generation
 

@@ -1,6 +1,16 @@
 import pytest
+from hypothesis import strategies as st
 
-from careerseq.corpus import split_dataset
+from careerseq.corpus import (
+    CareerHistory,
+    CareerRecord,
+    Education,
+    Ethnicity,
+    Gender,
+    Region,
+    StaticCovariates,
+    split_dataset,
+)
 from careerseq.models import LmOccupationAdapter, TokenLM, TokenLmConfig
 from careerseq.synthetic import SyntheticConfig, generate_synthetic
 from careerseq.template import TemplateCodec, TemplateConfig
@@ -67,3 +77,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for name, status in sorted(lines):
             terminalreporter.write_line(f"{status:6s} {name}")
+
+
+@st.composite
+def career_histories(draw, taxonomy, year_range=(1990, 2020)):
+    """A career of 1-8 records in distinct years, education never falling,
+    over ``taxonomy``'s codes. Ids come from a small pool, so that distinct
+    histories share ids."""
+    n = draw(st.integers(1, 8))
+    years = sorted(draw(st.sets(st.integers(*year_range), min_size=n, max_size=n)))
+    levels = sorted(draw(st.lists(st.sampled_from(Education), min_size=n, max_size=n)), key=list(Education).index)
+    records = tuple(
+        CareerRecord(year, level, draw(st.sampled_from(taxonomy.codes()))) for year, level in zip(years, levels)
+    )
+    static = StaticCovariates(
+        draw(st.sampled_from(Gender)),
+        draw(st.sampled_from(Ethnicity)),
+        draw(st.sampled_from(Region)),
+        draw(st.integers(1930, 1975)),
+    )
+    return CareerHistory(draw(st.sampled_from(["a", "b", "c"])), "SYNTH", static, records)

@@ -95,7 +95,8 @@ class TestChainRuleScoring:
         for i, (h, t) in enumerate(items):
             assert abs(logp[i] - adapter.joint_log_probability(h, t, h.records[t - 1].occupation)) < 1e-10
             if t > 1:
-                assert abs(p_stay[i] - adapter.stay_probability(h, t)) < 1e-12
+                previous = h.records[t - 2].occupation
+                assert abs(p_stay[i] - np.exp(adapter.joint_log_probability(h, t, previous))) < 1e-12
             else:
                 assert np.isnan(p_stay[i])
 

@@ -79,6 +79,22 @@ class TestUsage:
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "d.jsonl").exists()
 
+    def test_config_value_takes_option_type(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "7"}))
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert main(["gen-data", "--out", str(a), "--config", str(cfg), "--taxonomy-size", "8", "--seed", "1"]) == 0
+        assert main(["gen-data", "--out", str(b), "--n", "7", "--taxonomy-size", "8", "--seed", "1"]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("values", [{"n": "seven"}, {"markov_order": 3}, {"markov-order": "2x"}])
+    def test_config_value_bad_type_or_choice_exits_two(self, tmp_path, values, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert main(["gen-data", "--out", str(tmp_path / "d.jsonl"), "--config", str(cfg), "--seed", "1"]) == 2
+        assert repr(next(iter(values))) in capsys.readouterr().err
+        assert not (tmp_path / "d.jsonl").exists()
+
 
 class TestRenderParse:
     def fixture_jsonl(self, tmp_path):

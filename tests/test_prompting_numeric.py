@@ -177,8 +177,7 @@ class TestNumericTitles:
         codec_l = TemplateCodec(tax, TemplateConfig())
         codec_n = TemplateCodec(tax, TemplateConfig(numeric_titles=True), nmap)
 
-        def trainer(texts_tr, texts_va, seed):
-            codec = codec_n if "job_" in texts_tr[0] else codec_l
+        def trainer(codec, texts_tr, texts_va, seed):
             return _fit_adapter(codec, tax, texts_tr, texts_va, seed)
 
         rows = run_numeric_titles(ds, trainer, codec_l, codec_n, seed=7, bootstrap=BootstrapConfig(b=40, seed=1))
@@ -197,8 +196,7 @@ class TestNumericTitles:
         codec_l = TemplateCodec(tax, TemplateConfig())
         codec_n = TemplateCodec(tax, TemplateConfig(numeric_titles=True), nmap)
 
-        def trainer(texts_tr, texts_va, seed):
-            codec = codec_n if "job_" in texts_tr[0] else codec_l
+        def trainer(codec, texts_tr, texts_va, seed):
             return _fit_adapter(codec, tax, texts_tr, texts_va, seed)
 
         rows = run_numeric_titles(ds, trainer, codec_l, codec_n, seed=7, bootstrap=BootstrapConfig(b=40, seed=1))

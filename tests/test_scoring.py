@@ -9,15 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from careerseq.corpus import (
-    CareerHistory,
-    CareerRecord,
-    Education,
-    Ethnicity,
-    Gender,
-    Region,
-    StaticCovariates,
-)
+from conftest import career_histories
+
 from careerseq.evaluation import score_model
 from careerseq.experiments import truncate_history
 from careerseq.models import (
@@ -125,29 +118,11 @@ def models():
 
 
 @st.composite
-def histories(draw):
-    n = draw(st.integers(1, 8))
-    years = sorted(draw(st.sets(st.integers(*YEARS), min_size=n, max_size=n)))
-    levels = sorted(draw(st.lists(st.sampled_from(Education), min_size=n, max_size=n)), key=list(Education).index)
-    records = tuple(
-        CareerRecord(year, level, draw(st.sampled_from(TAXONOMY.codes()))) for year, level in zip(years, levels)
-    )
-    static = StaticCovariates(
-        draw(st.sampled_from(Gender)),
-        draw(st.sampled_from(Ethnicity)),
-        draw(st.sampled_from(Region)),
-        draw(st.integers(1930, 1975)),
-    )
-    # a small id pool, so that distinct histories share ids
-    return CareerHistory(draw(st.sampled_from(["a", "b", "c"])), "SYNTH", static, records)
-
-
-@st.composite
 def scoring_items(draw, max_histories=4):
     """(history, t) items from generated histories: a random subset of each
     history's transitions, some of them cut to a window of recent records."""
     items = []
-    for h in draw(st.lists(histories(), min_size=1, max_size=max_histories)):
+    for h in draw(st.lists(career_histories(TAXONOMY, YEARS), min_size=1, max_size=max_histories)):
         ts = draw(st.lists(st.integers(1, len(h)), min_size=1, max_size=len(h), unique=True))
         for t in ts:
             k = draw(st.one_of(st.none(), st.integers(1, 4)))

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import career_histories
+
 from careerseq.taxonomy import (
     OccupationEntry,
     OccupationKind,
@@ -17,6 +19,7 @@ from careerseq.tokenizer import (
     train_template_vocab,
     train_vocab,
 )
+from careerseq.template import TemplateCodec, TemplateConfig
 
 CORPUS = [
     "1984 (some college): Cooks\n1985 (some college): Food servers, nonrestaurant\n<END OF DATA>\n"
@@ -150,3 +153,28 @@ class TestTitleHelpers:
         plain = train_vocab(CORPUS, 500)
         boosted = train_template_vocab(CORPUS, conts, 500)
         assert title_token_stats(boosted, conts).mean <= title_token_stats(plain, conts).mean
+
+
+# --------------------------------------------------------------------------
+# Encoding invariants the batched scorer rests on
+# --------------------------------------------------------------------------
+
+TAXONOMY = build_default_taxonomy(60)
+CODEC = TemplateCodec(TAXONOMY, TemplateConfig())
+CONTINUATIONS = [CODEC.title_continuation(c) for c in TAXONOMY.codes()]
+TEMPLATE_VOCAB = train_template_vocab(CORPUS, CONTINUATIONS, 600)
+
+
+class TestEncodingInvariants:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.one_of(st.text(max_size=60), st.sampled_from(CORPUS + CONTINUATIONS)), max_size=6))
+    def test_batch_encode_equals_one_at_a_time(self, texts):
+        assert TEMPLATE_VOCAB.encode_batch(texts) == [TEMPLATE_VOCAB.encode(t) for t in texts]
+
+    @settings(max_examples=80, deadline=None)
+    @given(history=career_histories(TAXONOMY), data=st.data())
+    def test_prompt_and_title_encode_separately(self, history, data):
+        t = data.draw(st.integers(1, len(history)))
+        code = data.draw(st.sampled_from(TAXONOMY.codes()))
+        prompt, cont = CODEC.render_prompt(history, t), CODEC.title_continuation(code)
+        assert TEMPLATE_VOCAB.encode(prompt) + TEMPLATE_VOCAB.encode(cont) == TEMPLATE_VOCAB.encode(prompt + cont)
