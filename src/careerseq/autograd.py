@@ -174,13 +174,13 @@ def log_sigmoid(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """GELU with the tanh approximation (smooth, so finite differences agree)."""
     x = a.data
-    inner = _SQRT_2_OVER_PI * (x + 0.044715 * x**3)
+    inner = _SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))  # x * x * x: NumPy's pow is ~50x slower
     t = np.tanh(inner)
     out_data = 0.5 * x * (1.0 + t)
 
     def backward(grad):
         if a.requires_grad:
-            dinner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x**2)
+            dinner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * (x * x))
             da = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
             a._accumulate(grad * da)
 

@@ -5,14 +5,23 @@ continuation of the rendered career prompt, expanded token by token with the
 chain rule. The prompt ends at the record line's colon, so the scored
 continuation carries the intervening space. Raw scores live in (0, 1] and
 need not sum to one over the taxonomy (mass leaks to strings that are not
-job titles); the normalized variant rescales by the taxonomy total at the
-cost of one scoring pass per occupation.
+job titles); the normalized variant rescales by the taxonomy total, so it
+needs every occupation's title scored.
 
-Two scoring paths exist on purpose: ``job_probability`` appends title tokens
-one at a time (one forward pass per token), while ``joint_log_probability``
-reads every stepwise conditional from a single forward pass over the
-concatenated sequence. They agree to floating-point accuracy and are checked
-against each other in the tests.
+Batched scoring (``score_transitions``, ``job_distribution``) goes through
+``TokenLM.batched_log_probs``: each distinct prompt runs once, and its
+titles run as one batch against the prompt's cached keys and values, each
+distinct title once. ``generate`` runs the prompt once and then one sampled
+token per step against the cache.
+
+Two uncached scoring paths exist on purpose as references:
+``job_probability`` appends title tokens one at a time (one forward pass
+over the whole context per token), while ``joint_log_probability`` reads
+every stepwise conditional from a single forward pass over the concatenated
+sequence. They agree with each other and with the cached path to
+floating-point accuracy, and the tests check all three against each other.
+``forward_calls`` counts one call per scored (prompt, title) pair and one
+per sampled token, whatever the cache saves.
 """
 
 from __future__ import annotations
@@ -22,12 +31,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ..autograd import softmax_np
 from ..corpus import CareerHistory
 from ..template import TemplateCodec
 from ..tokenizer import Vocabulary, title_prefix_match
 from .token_lm import ContextOverflowError, TokenLM
-
-_BATCH = 16  # sequences per forward pass when scoring
 
 
 @dataclass(frozen=True)
@@ -94,23 +102,15 @@ class LmOccupationAdapter:
 
     def _title_log_probs(self, pairs: Sequence[tuple[list[int], list[int]]]) -> np.ndarray:
         """Summed log-probability of each continuation after its prompt, in
-        input order. Sequences run in length-sorted chunks of ``_BATCH``."""
+        input order, from one :meth:`TokenLM.batched_log_probs` call."""
         seqs, read_from = [], []
         for prompt, cont in pairs:
             self._check_fits(len(prompt) + len(cont))
             seqs.append(np.asarray(prompt + cont, dtype=np.int64))
             read_from.append(len(prompt))
-        out = np.empty(len(seqs))
-        order = sorted(range(len(seqs)), key=lambda j: len(seqs[j]))
-        for start in range(0, len(order), _BATCH):
-            chunk = order[start : start + _BATCH]
-            lps = self.lm.batched_log_probs(
-                [seqs[j] for j in chunk], [read_from[j] for j in chunk], pad_id=self.vocab.eos_id
-            )
-            self.forward_calls += len(chunk)
-            for j, lp in zip(chunk, lps):
-                out[j] = lp.sum()
-        return out
+        lps = self.lm.batched_log_probs(seqs, read_from, pad_id=self.vocab.eos_id)
+        self.forward_calls += len(seqs)
+        return np.array([lp.sum() for lp in lps])
 
     def job_distribution(self, history: CareerHistory, t: int, normalized: bool = False) -> np.ndarray:
         """Raw (default) or normalized scores over the taxonomy."""
@@ -151,21 +151,26 @@ class LmOccupationAdapter:
 
     def generate(self, prompt: str, cfg: GenerationConfig = GenerationConfig()) -> str:
         """Seeded ancestral sampling with top-k / nucleus filtering; returns
-        only the continuation text, cut at the stop string if it appears."""
+        only the continuation text, cut at the stop string if it appears. The
+        prompt runs once, then each sampled token runs against the cached
+        keys and values."""
         ids = [self.vocab.bos_id] + self.vocab.encode(prompt)
         self._check_fits(len(ids) + 1)
         rng = np.random.default_rng(cfg.seed)
         new_ids: list[int] = []
+        pending, past = np.asarray(ids), None
         for _ in range(cfg.max_new):
             if len(ids) >= self.lm.config.context:
                 break
-            dist = self.lm.next_token_distribution(ids)
+            logits, _, _, past = self.lm.forward(pending, past=past)
+            dist = softmax_np(logits.data[0, -1])
             self.forward_calls += 1
             tok = _sample(dist, rng, cfg.temperature, cfg.top_k, cfg.top_p)
             if tok == self.vocab.eos_id:
                 break
             ids.append(tok)
             new_ids.append(tok)
+            pending = np.asarray([tok])
             if cfg.stop:
                 text = self.vocab.decode(new_ids)
                 if cfg.stop in text:

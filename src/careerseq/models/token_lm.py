@@ -6,6 +6,15 @@ fresh model predicts the uniform distribution. Parameters are stored in
 float32 (the checkpoint tensor format); all computation runs in float64, so
 scoring is a deterministic function of the stored parameters and
 save/load/score round-trips bit-exactly.
+
+``forward`` also takes the per-layer keys and values of a prefix it has
+already run (``past``) and returns the keys and values it attended over, so
+a shared prompt runs once and its continuations run against the cache (the
+key/value cache of Pope et al., arXiv:2211.05102). A batch-1 prefix is
+shared by every row of the new tokens, which take the positions after it.
+Training never passes ``past``. ``batched_log_probs`` scores titles this
+way; ``next_token_distribution`` and ``sequence_log_probs`` run the whole
+sequence and stay the uncached references.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +33,16 @@ from .checkpoint import load_checkpoint, save_checkpoint
 
 class ContextOverflowError(ValueError):
     pass
+
+
+# Per-layer (keys, values) of a prefix, each (batch, n_heads, positions, d_head).
+KeysValues = list[tuple[np.ndarray, np.ndarray]]
+
+
+def _after(cached: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``new`` keys or values appended to a cached prefix along the position
+    axis; a batch-1 prefix is shared by every row of ``new``."""
+    return np.concatenate([np.broadcast_to(cached, new.shape[:2] + cached.shape[2:]), new], axis=2)
 
 
 @dataclass(frozen=True)
@@ -78,23 +97,39 @@ class TokenLM:
 
     # ------------------------------------------------------------- forward
 
-    def forward(self, ids: np.ndarray, train: bool = False) -> tuple[ag.Tensor, ag.Tensor, dict[str, ag.Tensor]]:
-        """Run the network over ``ids`` (B, T) or (T,).
+    def forward(
+        self, ids: np.ndarray, train: bool = False, past: Optional[KeysValues] = None
+    ) -> tuple[ag.Tensor, ag.Tensor, dict[str, ag.Tensor], KeysValues]:
+        """Run the network over ``ids`` (B, T) or (T,), after the cached
+        prefix ``past`` when one is given.
 
         Returns (logits over the vocabulary, final normed hidden state,
-        parameter leaves). With ``train=False`` no backward graph is built.
+        parameter leaves, per-layer keys and values attended over). With
+        ``train=False`` no backward graph is built.
         """
+        final, leaves, present = self._trunk(ids, train, past)
+        return ag.matmul(final, leaves["w_out"]), final, leaves, present
+
+    def _trunk(
+        self, ids: np.ndarray, train: bool = False, past: Optional[KeysValues] = None
+    ) -> tuple[ag.Tensor, dict[str, ag.Tensor], KeysValues]:
+        """:meth:`forward` up to the final layer norm, without the output
+        projection."""
         ids = np.asarray(ids)
         if ids.ndim == 1:
             ids = ids[None, :]
         b, t = ids.shape
         c = self.config
-        if t > c.context:
-            raise ContextOverflowError(f"sequence length {t} exceeds context cap {c.context}")
+        p = 0 if past is None else past[0][0].shape[2]
+        if p + t > c.context:
+            raise ContextOverflowError(f"{p} cached plus {t} new positions exceed context cap {c.context}")
+        if past is not None and train:
+            raise ValueError("a cached prefix is for inference only")
         leaves = {k: ag.Tensor(v, requires_grad=train) for k, v in self.params.items()}
-        x = ag.add(ag.gather_rows(leaves["tok_emb"], ids), ag.gather_rows(leaves["pos_emb"], np.arange(t)))
+        x = ag.add(ag.gather_rows(leaves["tok_emb"], ids), ag.gather_rows(leaves["pos_emb"], np.arange(p, p + t)))
         h = c.d_model // c.n_heads
-        causal = np.triu(np.full((t, t), -1e30), k=1)[None, None, :, :]
+        causal = np.triu(np.full((t, p + t), -1e30), k=p + 1)[None, None, :, :]
+        present = []
         for i in range(c.n_layers):
             ln1 = ag.layer_norm(x, leaves[f"l{i}.ln1_g"], leaves[f"l{i}.ln1_b"])
 
@@ -104,6 +139,9 @@ class TokenLM:
             q = heads(ag.matmul(ln1, leaves[f"l{i}.wq"]))
             k = heads(ag.matmul(ln1, leaves[f"l{i}.wk"]))
             v = heads(ag.matmul(ln1, leaves[f"l{i}.wv"]))
+            if past is not None:
+                k, v = (ag.Tensor(_after(cached, new.data)) for cached, new in zip(past[i], (k, v)))
+            present.append((k.data, v.data))
             scores = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(h))
             att = ag.masked_softmax(scores, causal, axis=-1)
             ctx = ag.reshape(ag.transpose(ag.matmul(att, v), (0, 2, 1, 3)), (b, t, c.d_model))
@@ -115,8 +153,7 @@ class TokenLM:
             )
             x = ag.add(x, ff)
         final = ag.layer_norm(x, leaves["ln_f_g"], leaves["ln_f_b"])
-        logits = ag.matmul(final, leaves["w_out"])
-        return logits, final, leaves
+        return final, leaves, present
 
     # ------------------------------------------------------------- scoring
 
@@ -125,38 +162,72 @@ class TokenLM:
         ids = list(context_ids)
         if not ids:
             raise ValueError("context must contain at least one token (BOS)")
-        logits, _, _ = self.forward(np.asarray(ids, dtype=np.int64))
+        logits, _, _, _ = self.forward(np.asarray(ids, dtype=np.int64))
         return ag.softmax_np(logits.data[0, -1])
 
     def sequence_log_probs(self, ids: Sequence[int], from_position: int) -> np.ndarray:
         """Log-probabilities of ``ids[from_position:]`` under teacher forcing,
         each conditioned on all earlier tokens, in one forward pass."""
         arr = np.asarray(ids, dtype=np.int64)
-        logits, _, _ = self.forward(arr)
+        logits, _, _, _ = self.forward(arr)
         lp = ag.log_softmax_np(logits.data[0])
         positions = np.arange(from_position - 1, arr.size - 1)
         return lp[positions, arr[from_position:]]
 
     def batched_log_probs(self, sequences: list[np.ndarray], read_from: list[int], pad_id: int) -> list[np.ndarray]:
-        """Batched :meth:`sequence_log_probs` over ragged sequences."""
-        if not sequences:
-            return []
-        t = max(len(s) for s in sequences)
-        ids = np.full((len(sequences), t), pad_id, dtype=np.int64)
-        for i, s in enumerate(sequences):
-            ids[i, : len(s)] = s
-        logits, _, _ = self.forward(ids)
-        out = []
-        for i, s in enumerate(sequences):
-            lp = ag.log_softmax_np(logits.data[i])
-            positions = np.arange(read_from[i] - 1, len(s) - 1)
-            out.append(lp[positions, np.asarray(s[read_from[i]:])])
+        """Batched :meth:`sequence_log_probs` over ragged sequences: the
+        log-probabilities of each ``seq[read_from:]`` (its title) after
+        ``seq[:read_from]`` (its prompt).
+
+        Sequences are grouped by prompt, and each distinct prompt runs once.
+        Its last position gives every title's first token; the group's
+        distinct titles then run as one batch, right-padded with ``pad_id``,
+        against the prompt's cached keys and values. The output projection
+        and log-softmax apply only at the positions read.
+        """
+        seqs = [np.asarray(s, dtype=np.int64) for s in sequences]
+        longest = max((s.size for s in seqs), default=0)
+        if longest > self.config.context:
+            raise ContextOverflowError(f"sequence length {longest} exceeds context cap {self.config.context}")
+        if any(r < 1 for r in read_from):
+            raise ValueError("every prompt needs at least one token")
+        groups: dict[bytes, dict[bytes, list[int]]] = {}
+        for i, (s, r) in enumerate(zip(seqs, read_from)):
+            groups.setdefault(s[:r].tobytes(), {}).setdefault(s[r:].tobytes(), []).append(i)
+        out: list[np.ndarray] = [np.empty(0)] * len(seqs)
+        for titles in groups.values():
+            heads = [members[0] for members in titles.values()]
+            prompt = seqs[heads[0]][: read_from[heads[0]]]
+            lps = self._titles_after(prompt, [seqs[i][read_from[i]:] for i in heads], pad_id)
+            for lp, members in zip(lps, titles.values()):
+                for i in members:
+                    out[i] = lp.copy()
+        return out
+
+    def _titles_after(self, prompt: np.ndarray, titles: list[np.ndarray], pad_id: int) -> list[np.ndarray]:
+        """Log-probabilities of each title's tokens after ``prompt``: one
+        pass over the prompt, then one over the titles' tokens but the last."""
+        final, leaves, past = self._trunk(prompt)
+        read = [final.data[0, -1:]]  # row 0 predicts every title's first token
+        rest = [title for title in titles if title.size > 1]
+        if rest:
+            ids = np.full((len(rest), max(title.size for title in rest) - 1), pad_id, dtype=np.int64)
+            for row, title in enumerate(rest):
+                ids[row, : title.size - 1] = title[:-1]
+            final, _, _ = self._trunk(ids, past=past)
+            read += [final.data[row, : title.size - 1] for row, title in enumerate(rest)]
+        lp = ag.log_softmax_np(np.concatenate(read) @ leaves["w_out"].data)
+        out, start = [], 1
+        for title in titles:
+            later = np.arange(start, start + max(title.size - 1, 0))
+            start += later.size
+            out.append(lp[np.concatenate([[0], later])[: title.size], title])
         return out
 
     def final_hidden(self, ids: Sequence[int]) -> np.ndarray:
         """Final-layer hidden state at the last position (the representation
         used as an embedding by feature-based models)."""
-        _, final, _ = self.forward(np.asarray(ids, dtype=np.int64))
+        final, _, _ = self._trunk(np.asarray(ids, dtype=np.int64))
         return final.data[0, -1].copy()
 
     # ------------------------------------------------------------ training
@@ -174,7 +245,7 @@ class TokenLM:
     def _loss_graph(self, batch: dict, train: bool) -> tuple[ag.Tensor, dict[str, ag.Tensor]]:
         ids: np.ndarray = batch["ids"]  # (B, T), already padded
         mask: np.ndarray = batch["mask"]  # (B, T-1) marks real next-token targets
-        logits, _, leaves = self.forward(ids, train=train)
+        logits, _, leaves, _ = self.forward(ids, train=train)
         lp = ag.log_softmax(logits, axis=-1)
         picked = ag.pick_last(_slice_time(lp, 0, ids.shape[1] - 1), ids[:, 1:])
         loss = ag.mul(ag.tsum(ag.mul(picked, mask)), -1.0 / mask.sum())

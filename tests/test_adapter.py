@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from careerseq.evaluation import perplexity, score_model
 from careerseq.models import GenerationConfig, LmOccupationAdapter, TokenLM, TokenLmConfig
+from careerseq.models import adapter as adapter_module
+from careerseq.models.adapter import _sample as sample
 from careerseq.models.token_lm import ContextOverflowError
 
 
@@ -91,7 +94,11 @@ class TestChainRuleScoring:
         adapter = toy_bundle["adapter"]
         ds = toy_bundle["dataset"]
         items = [(h, t) for h in ds.split("test")[:4] for t in range(1, len(h) + 1)]
+        before = adapter.forward_calls
         logp, p_stay = adapter.score_transitions(items)
+        # one call per requested (prompt, title) pair, stays included
+        assert adapter.forward_calls - before == len(items) + sum(t > 1 for _, t in items)
+        assert any(h.records[t - 1].occupation == h.records[t - 2].occupation for h, t in items if t > 1)
         for i, (h, t) in enumerate(items):
             assert abs(logp[i] - adapter.joint_log_probability(h, t, h.records[t - 1].occupation)) < 1e-10
             if t > 1:
@@ -102,6 +109,46 @@ class TestChainRuleScoring:
 
 
 class TestGeneration:
+    @pytest.mark.parametrize("room", [None, 3])
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    def test_cached_generate_matches_uncached_loop(self, toy_bundle, monkeypatch, seed, room):
+        # at every step the cached distribution equals next_token_distribution
+        # on the growing context, and the sampled text equals the uncached
+        # loop's; room=3 leaves three positions under the context cap
+        ds = toy_bundle["dataset"]
+        vocab = toy_bundle["vocab"]
+        lm = toy_bundle["lm"]
+        prompt = toy_bundle["codec"].render_prompt(ds.split("test")[1], 2)
+        ids = [vocab.bos_id] + vocab.encode(prompt)
+        if room is not None:
+            lm = TokenLM(replace(lm.config, context=len(ids) + room), seed=0)
+            lm.params = {**toy_bundle["lm"].params, "pos_emb": toy_bundle["lm"].params["pos_emb"][: len(ids) + room]}
+        adapter = LmOccupationAdapter(lm, vocab, toy_bundle["codec"])
+        seen = []
+
+        def recording(dist, rng, *args):
+            seen.append(dist)
+            return sample(dist, rng, *args)
+
+        monkeypatch.setattr(adapter_module, "_sample", recording)
+        cfg = GenerationConfig(max_new=12, stop=None, top_p=0.95, seed=seed)
+        text = adapter.generate(prompt, cfg)
+        rng = np.random.default_rng(seed)
+        sampled: list[int] = []
+        steps = 0
+        for _ in range(cfg.max_new):
+            if len(ids) + len(sampled) >= lm.config.context:
+                break
+            expected = lm.next_token_distribution(ids + sampled)
+            assert np.max(np.abs(seen[steps] - expected)) < 1e-12
+            steps += 1
+            tok = sample(expected, rng, cfg.temperature, cfg.top_k, cfg.top_p)
+            if tok == vocab.eos_id:
+                break
+            sampled.append(tok)
+        assert len(seen) == steps == (room or cfg.max_new)
+        assert text == vocab.decode(sampled)
+
     def test_fixed_seed_reproduces(self, toy_bundle):
         adapter = toy_bundle["adapter"]
         ds = toy_bundle["dataset"]

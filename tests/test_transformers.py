@@ -78,10 +78,29 @@ class TestTokenLm:
         rng = np.random.default_rng(10)
         lm.params["w_out"] = rng.normal(0, 0.1, lm.params["w_out"].shape).astype(np.float32)
         seqs = [np.array(rng.integers(0, 70, size=n)) for n in (8, 15, 11)]
-        batched = lm.batched_log_probs(seqs, [3, 5, 2], pad_id=0)
-        for seq, start, got in zip(seqs, [3, 5, 2], batched):
+        starts = [3, 5, 2]
+        # prompts shared by several titles, titles of one token, and exact
+        # duplicates (a stay scores the same sequence twice)
+        prompt = rng.integers(0, 70, size=9)
+        titles = [rng.integers(0, 70, size=n) for n in (4, 1, 6)]
+        for title in titles + [titles[0], titles[1]]:
+            seqs.append(np.concatenate([prompt, title]))
+            starts.append(prompt.size)
+        seqs += [seqs[0], seqs[4].copy()]
+        starts += [starts[0], starts[4]]
+        batched = lm.batched_log_probs(seqs, starts, pad_id=0)
+        assert len(batched) == len(seqs)
+        for seq, start, got in zip(seqs, starts, batched):
             solo = lm.sequence_log_probs(seq, from_position=start)
-            assert np.allclose(got, solo, atol=1e-12)
+            assert got.shape == solo.shape
+            assert np.allclose(got, solo, atol=1e-12, rtol=0)
+        assert batched[-2] is not batched[0]
+
+    def test_batched_log_probs_context_cap(self):
+        lm = TokenLM(TokenLmConfig(vocab_size=30, d_model=8, n_layers=1, n_heads=2, context=8), seed=0)
+        assert [lp.size for lp in lm.batched_log_probs([np.arange(8)], [5], pad_id=0)] == [3]
+        with pytest.raises(ContextOverflowError):
+            lm.batched_log_probs([np.arange(9)], [5], pad_id=0)
 
     def test_save_load_scores_bit_identical(self, tmp_path):
         from careerseq.tokenizer import train_vocab
@@ -95,6 +114,76 @@ class TestTokenLm:
         ids = vocab.encode("hello there")
         assert vocab2.merges == vocab.merges
         assert np.array_equal(again.next_token_distribution(ids), lm.next_token_distribution(ids))
+
+
+def _random_lm(context: int, seed: int) -> tuple[TokenLM, np.random.Generator]:
+    lm = TokenLM(TokenLmConfig(vocab_size=60, d_model=16, n_layers=2, n_heads=2, context=context), seed=seed)
+    rng = np.random.default_rng(seed)
+    lm.params["w_out"] = rng.normal(0, 0.1, lm.params["w_out"].shape).astype(np.float32)
+    return lm, rng
+
+
+def _gap(a: np.ndarray, b: np.ndarray) -> float:
+    assert a.shape == b.shape
+    return float(np.max(np.abs(a - b)))
+
+
+class TestKeyValueCache:
+    def test_batch_one_past_broadcast_over_ragged_titles(self):
+        # titles of 3, 1 and 14 tokens after a 10-token prompt; the last one
+        # reaches the 24-position cap exactly
+        lm, rng = _random_lm(context=24, seed=13)
+        prompt = rng.integers(0, 60, size=10)
+        titles = [rng.integers(0, 60, size=n) for n in (3, 1, 14)]
+        _, _, _, past = lm.forward(prompt)
+        ids = np.full((len(titles), 14), 59)
+        for j, title in enumerate(titles):
+            ids[j, : title.size] = title
+        logits, final, _, present = lm.forward(ids, past=past)
+        assert logits.shape == (3, 14, 60)
+        for j, title in enumerate(titles):
+            full_logits, full_final, _, full_kv = lm.forward(np.concatenate([prompt, title]))
+            n = title.size
+            assert _gap(logits.data[j, :n], full_logits.data[0, 10:]) < 1e-12
+            assert _gap(final.data[j, :n], full_final.data[0, 10:]) < 1e-12
+            for (k, v), (full_k, full_v) in zip(present, full_kv):
+                assert _gap(k[j, :, : 10 + n], full_k[0]) < 1e-12
+                assert _gap(v[j, :, : 10 + n], full_v[0]) < 1e-12
+
+    def test_past_with_one_row_per_title(self):
+        lm, rng = _random_lm(context=20, seed=14)
+        prompts = rng.integers(0, 60, size=(2, 7))
+        titles = rng.integers(0, 60, size=(2, 4))
+        _, _, _, past = lm.forward(prompts)
+        logits, _, _, _ = lm.forward(titles, past=past)
+        for j in range(2):
+            full_logits, _, _, _ = lm.forward(np.concatenate([prompts[j], titles[j]]))
+            assert _gap(logits.data[j], full_logits.data[0, 7:]) < 1e-12
+
+    def test_token_by_token_equals_one_pass(self):
+        lm, rng = _random_lm(context=16, seed=15)
+        ids = rng.integers(0, 60, size=16)
+        full_logits, _, _, _ = lm.forward(ids)
+        logits, _, _, past = lm.forward(ids[:5])
+        rows = [logits.data[0]]
+        for tok in ids[5:]:
+            logits, _, _, past = lm.forward(np.array([tok]), past=past)
+            rows.append(logits.data[0])
+        assert past[0][0].shape[2] == 16
+        assert _gap(np.concatenate(rows), full_logits.data[0]) < 1e-12
+
+    def test_context_cap_counts_the_cached_prefix(self):
+        lm, rng = _random_lm(context=8, seed=16)
+        _, _, _, past = lm.forward(rng.integers(0, 60, size=6))
+        lm.forward(rng.integers(0, 60, size=(3, 2)), past=past)
+        with pytest.raises(ContextOverflowError):
+            lm.forward(rng.integers(0, 60, size=(3, 3)), past=past)
+
+    def test_past_is_inference_only(self):
+        lm, rng = _random_lm(context=8, seed=17)
+        _, _, _, past = lm.forward(rng.integers(0, 60, size=3))
+        with pytest.raises(ValueError, match="inference"):
+            lm.forward(rng.integers(0, 60, size=2), train=True, past=past)
 
 
 class TestCareerModel:
