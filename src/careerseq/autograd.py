@@ -2,8 +2,10 @@
 
 Just enough machinery for the models in this package: broadcasting binary
 ops, batched matmul, gathers for embeddings, stable softmax family, layer
-norm, and a few pointwise nonlinearities. Computation runs in float64
-regardless of parameter storage dtype; leaves created with
+norm, and a few pointwise nonlinearities. ``log_softmax_at`` is the loss op
+of both training objectives: a log-softmax read at integer targets, with an
+optional excluded class per row, in one graph node. Computation runs in
+float64 regardless of parameter storage dtype; leaves created with
 ``requires_grad=False`` skip closure construction entirely, so inference
 reuses the same forward code at effectively raw-numpy cost.
 """
@@ -16,6 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_NEG = -1e30
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -224,23 +227,34 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def pick_last(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Select ``a[..., indices]`` elementwise along the last axis: for input
-    shape (..., V) and integer array of shape (...), returns shape (...)."""
-    indices = np.asarray(indices)
-    idx = np.ix_(*[np.arange(s) for s in indices.shape])  # type: ignore[arg-type]
-    out_data = a.data[idx + (indices,)] if indices.ndim else a.data[..., indices]
+def log_softmax_at(a: Tensor, targets: np.ndarray, exclude: Optional[np.ndarray] = None) -> Tensor:
+    """``log_softmax(a)`` over the last axis, read at integer ``targets``.
+
+    ``targets`` covers a leading block of the batch axes: for ``a`` of shape
+    (B, T, V) and ``targets`` of shape (B, T') with T' <= T, row (b, t) reads
+    ``a[b, t]``, and rows past the block get zero gradient. ``exclude``,
+    shaped like ``targets``, names one class per row that is set to -1e30
+    before the softmax; -1 excludes nothing.
+    """
+    targets = np.asarray(targets)
+    block = tuple(slice(0, n) for n in targets.shape)
+    at = np.ix_(*[np.arange(n) for n in targets.shape]) + (targets,)
+    x = a.data[block]
+    if exclude is not None:
+        rows = np.nonzero(exclude >= 0)
+        x = x.copy()
+        x[rows + (exclude[rows],)] = _NEG
+    lp = log_softmax_np(x)
 
     def backward(grad):
         if a.requires_grad:
+            # log_softmax's grad - soft * grad.sum() term for term, so bit-identical to it
             g = np.zeros_like(a.data)
-            if indices.ndim:
-                g[idx + (indices,)] = grad
-            else:
-                g[..., indices] = grad
+            g[block] -= np.exp(lp) * grad[..., None]
+            g[block][at] += grad
             a._accumulate(g)
 
-    return _node(out_data, (a,), backward)
+    return _node(lp[at], (a,), backward)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

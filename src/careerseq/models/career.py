@@ -206,22 +206,14 @@ class CareerModel:
 
     def _two_stage_rows(self, h: np.ndarray, prev: np.ndarray) -> np.ndarray:
         """Distributions for each row of ``h`` (n, d) given prev indices (n,)."""
-        eta = self.params["eta"].astype(np.float64)
-        beta = self.params["beta"].astype(np.float64)
-        k = self.config.taxonomy_size
-        out = np.zeros((h.shape[0], k))
-        occ_logits = h @ beta.T
-        move_logit = h @ eta
-        for i in range(h.shape[0]):
-            if prev[i] == self.null_index:
-                out[i] = ag.softmax_np(occ_logits[i])
-            else:
-                p_move = 1.0 / (1.0 + np.exp(-move_logit[i]))
-                row = occ_logits[i].copy()
-                row[prev[i]] = _NEG
-                mover = ag.softmax_np(row)
-                out[i] = p_move * mover
-                out[i, prev[i]] = 1.0 - p_move
+        occ_logits = h @ self.params["beta"].astype(np.float64).T
+        move_logit = h @ self.params["eta"].astype(np.float64)
+        rows = np.nonzero(prev != self.null_index)[0]
+        occ_logits[rows, prev[rows]] = _NEG
+        out = ag.softmax_np(occ_logits)
+        p_move = 1.0 / (1.0 + np.exp(-move_logit[rows]))
+        out[rows] *= p_move[:, None]
+        out[rows, prev[rows]] = 1.0 - p_move
         return out
 
     def predict_all(self, history: CareerHistory) -> list[np.ndarray]:
@@ -242,24 +234,18 @@ class CareerModel:
         prev = batch["prev"]
         target = batch["target"]
         valid = batch["valid"]
-        b, t = prev.shape
-        k = self.config.taxonomy_size
         move_logit = ag.tsum(ag.mul(x, ag.reshape(leaves["eta"], (1, 1, -1))), axis=-1)
         occ_logits = ag.matmul(x, ag.transpose(leaves["beta"], (1, 0)))
         is_first = prev == self.null_index
         is_stay = (target == prev) & ~is_first
         is_move = ~is_first & ~is_stay
-        # mover softmax excludes the previous occupation (only at t > 1)
-        excl = np.zeros((b, t, k))
-        rows, cols = np.nonzero(~is_first)
-        excl[rows, cols, prev[rows, cols]] = _NEG
-        lp_all = ag.pick_last(ag.log_softmax(occ_logits, axis=-1), target)
-        lp_mover = ag.pick_last(ag.log_softmax(ag.add(occ_logits, excl), axis=-1), target)
+        # full softmax at t = 1; movers' softmax excludes the previous occupation
+        lp_occ = ag.log_softmax_at(occ_logits, target, np.where(is_first, -1, prev))
         lp_stay = ag.log_sigmoid(ag.mul(move_logit, -1.0))
         lp_move_gate = ag.log_sigmoid(move_logit)
         picked = ag.add(
-            ag.add(ag.mul(lp_all, is_first * valid), ag.mul(lp_stay, is_stay * valid)),
-            ag.mul(ag.add(lp_move_gate, lp_mover), is_move * valid),
+            ag.add(ag.mul(lp_occ, is_first * valid), ag.mul(lp_stay, is_stay * valid)),
+            ag.mul(ag.add(lp_move_gate, lp_occ), is_move * valid),
         )
         loss = ag.mul(ag.tsum(picked), -1.0 / valid.sum())
         return loss, leaves

@@ -2,7 +2,8 @@
 
 A checkpoint is a directory holding ``manifest.json`` plus one raw
 little-endian float32 tensor file per named parameter under ``params/``.
-Loading verifies both tensor shapes and the manifest's config hash.
+The manifest records each tensor's shape and the sha256 of its file; loading
+verifies both, and the manifest's config hash.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -29,17 +30,21 @@ def config_hash(config: dict) -> str:
 def save_checkpoint(path, kind: str, params: dict[str, np.ndarray], config: dict) -> None:
     root = Path(path)
     (root / "params").mkdir(parents=True, exist_ok=True)
+    sha256 = {}
+    for name, arr in params.items():
+        raw = arr.astype("<f4").tobytes()
+        (root / "params" / f"{_safe_name(name)}.f32").write_bytes(raw)
+        sha256[name] = hashlib.sha256(raw).hexdigest()
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
         "config": config,
         "config_hash": config_hash(config),
         "params": {name: list(arr.shape) for name, arr in params.items()},
+        "sha256": sha256,
     }
     with open(root / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-    for name, arr in params.items():
-        arr.astype("<f4").tofile(root / "params" / f"{_safe_name(name)}.f32")
 
 
 def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray], dict]:
@@ -55,11 +60,13 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray], dict]:
         raise CheckpointError("config hash mismatch: checkpoint config was modified")
     params: dict[str, np.ndarray] = {}
     for name, shape in manifest["params"].items():
-        file = root / "params" / f"{_safe_name(name)}.f32"
-        arr = np.fromfile(file, dtype="<f4")
+        raw = (root / "params" / f"{_safe_name(name)}.f32").read_bytes()
+        arr = np.frombuffer(raw, dtype="<f4")
         expected = int(np.prod(shape)) if shape else 1
         if arr.size != expected:
             raise CheckpointError(f"tensor {name}: found {arr.size} values, expected shape {shape}")
+        if hashlib.sha256(raw).hexdigest() != manifest.get("sha256", {}).get(name):
+            raise CheckpointError(f"tensor {name}: sha256 mismatch, the tensor file was modified")
         params[name] = arr.reshape(shape).astype(np.float32)
     return manifest["kind"], params, manifest["config"]
 

@@ -246,23 +246,9 @@ class TokenLM:
         ids: np.ndarray = batch["ids"]  # (B, T), already padded
         mask: np.ndarray = batch["mask"]  # (B, T-1) marks real next-token targets
         logits, _, leaves, _ = self.forward(ids, train=train)
-        lp = ag.log_softmax(logits, axis=-1)
-        picked = ag.pick_last(_slice_time(lp, 0, ids.shape[1] - 1), ids[:, 1:])
+        picked = ag.log_softmax_at(logits, ids[:, 1:])
         loss = ag.mul(ag.tsum(ag.mul(picked, mask)), -1.0 / mask.sum())
         return loss, leaves
-
-
-def _slice_time(t: ag.Tensor, start: int, stop: int) -> ag.Tensor:
-    data = t.data[:, start:stop]
-    span = (start, stop)
-
-    def backward(grad):
-        if t.requires_grad:
-            g = np.zeros_like(t.data)
-            g[:, span[0]: span[1]] = grad
-            t._accumulate(g)
-
-    return ag._node(data, (t,), backward)
 
 
 def collate_token_batch(token_lists: list[list[int]], pad_id: int) -> dict:

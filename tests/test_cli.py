@@ -7,6 +7,7 @@ from careerseq.cli import main
 from careerseq.corpus import load_jsonl
 from careerseq.evaluation import read_metrics_csv
 from careerseq.experiments import write_experiment_output
+from careerseq.models import CheckpointError, load_checkpoint
 from careerseq.taxonomy import OccupationTaxonomy, build_default_taxonomy
 
 SUBCOMMANDS = ["gen-data", "split", "render", "parse", "train", "eval", "experiment", "report"]
@@ -178,6 +179,21 @@ class TestTrainEval:
                          "--model-a", str(ckpt), "--out", str(out), "--bootstrap", "15", "--seed", "9"]) == 0
             outs.append((out / "metrics.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_corrupted_tensor_exits_two(self, pipeline, capsys):
+        d = pipeline
+        ckpt = d["dir"] / "emp3"
+        assert main(["train", "empirical", "--data", str(d["split"]), "--taxonomy", str(d["tax"]),
+                     "--out", str(ckpt), "--seed", "1"]) == 0
+        tensor = sorted((ckpt / "params").iterdir())[0]
+        raw = bytearray(tensor.read_bytes())
+        raw[len(raw) // 2] ^= 0x01  # same size, one bit changed
+        tensor.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="sha256"):
+            load_checkpoint(ckpt)
+        assert main(["eval", "--data", str(d["split"]), "--taxonomy", str(d["tax"]),
+                     "--model-a", str(ckpt), "--out", str(d["dir"] / "e"), "--seed", "1"]) == 2
+        assert "sha256" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model, flags", [
         ("career", ["--d-model", "16", "--n-layers", "1", "--epochs", "2", "--batch", "8"]),

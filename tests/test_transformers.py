@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from careerseq.autograd import softmax_np
 from careerseq.corpus import CareerRecord, Education
 from careerseq.models import (
     CareerConfig,
@@ -257,6 +258,35 @@ class TestCareerModel:
                     state = model.forward_history(h, t)
                     gate = 1.0 / (1.0 + np.exp(-(state @ model.params["eta"].astype(np.float64))))
                     assert abs(dist[prev_idx] - (1.0 - gate)) < 1e-12
+
+    def test_two_stage_rows_match_row_loop(self, world):
+        cfg, ds = world
+        model = self.make_model(ds, cfg, seed=5)
+        rng = np.random.default_rng(6)
+        model.params["eta"] = rng.normal(0, 0.5, model.params["eta"].shape).astype(np.float32)
+        eta = model.params["eta"].astype(np.float64)
+        beta = model.params["beta"].astype(np.float64)
+
+        def row_loop(h, prev):
+            out = np.zeros((h.shape[0], model.config.taxonomy_size))
+            occ_logits = h @ beta.T
+            move_logit = h @ eta
+            for i in range(h.shape[0]):
+                if prev[i] == model.null_index:
+                    out[i] = softmax_np(occ_logits[i])
+                else:
+                    p_move = 1.0 / (1.0 + np.exp(-move_logit[i]))
+                    row = occ_logits[i].copy()
+                    row[prev[i]] = -1e30
+                    out[i] = p_move * softmax_np(row)
+                    out[i, prev[i]] = 1.0 - p_move
+            return out
+
+        for hist in ds.individuals:
+            batch = model.build_batch([hist])
+            x, _ = model._forward_graph(batch, train=False)
+            rows = model._two_stage_rows(x.data[0], batch["prev"][0])
+            assert np.array_equal(rows, row_loop(x.data[0], batch["prev"][0]))
 
     def test_first_transition_full_softmax(self, world):
         cfg, ds = world
