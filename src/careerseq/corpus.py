@@ -298,7 +298,10 @@ def read_jsonl(fh, taxonomy: OccupationTaxonomy, origin: str = "<stream>") -> Da
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{origin}:{lineno}: invalid JSON ({exc})") from None
-        h, split = _history_from_obj(obj)
+        try:
+            h, split = _history_from_obj(obj)
+        except (KeyError, TypeError) as exc:
+            raise DatasetError(f"{origin}:{lineno}: not an individual record ({type(exc).__name__}: {exc})") from None
         individuals.append(h)
         if split is not None:
             labels[h.individual_id] = split

@@ -55,7 +55,6 @@ class LmOccupationAdapter:
         self.codec = codec
         self.taxonomy = codec.taxonomy
         self.forward_calls = 0
-        self._cont_cache: dict[int, list[int]] = {}
 
     # ------------------------------------------------------------- helpers
 
@@ -63,11 +62,7 @@ class LmOccupationAdapter:
         return [self.vocab.bos_id] + self.vocab.encode(self.codec.render_prompt(history, t))
 
     def continuation_ids(self, code: int) -> list[int]:
-        ids = self._cont_cache.get(code)
-        if ids is None:
-            ids = self.vocab.encode(self.codec.title_continuation(code))
-            self._cont_cache[code] = ids
-        return ids
+        return self.vocab.encode(self.codec.title_continuation(code))
 
     def _check_fits(self, n_tokens: int) -> None:
         if n_tokens > self.lm.config.context:

@@ -26,7 +26,7 @@ import numpy as np
 from .. import autograd as ag
 from ..corpus import EDUCATIONS, ETHNICITIES, GENDERS, REGIONS, CareerHistory
 from ..taxonomy import OccupationTaxonomy
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import config_of, load_checkpoint, save_checkpoint
 
 _YEAR_BUCKET_SPAN = 5
 _NEG = -1e30
@@ -272,7 +272,8 @@ class CareerModel:
         kind, params, config = load_checkpoint(path)
         if kind != "career":
             raise ValueError(f"checkpoint kind {kind!r} is not a career model")
-        config["year_range"] = tuple(config["year_range"])
-        model = cls(CareerConfig(**config), taxonomy, seed=0)
+        if "year_range" in config:
+            config["year_range"] = tuple(config["year_range"])
+        model = cls(config_of(CareerConfig, config, path), taxonomy, seed=0)
         model.params = {k: v.astype(np.float32) for k, v in params.items()}
         return model

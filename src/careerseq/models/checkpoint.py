@@ -54,13 +54,21 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray], dict]:
         raise CheckpointError(f"no manifest.json under {path}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{manifest_path} does not hold a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format {manifest.get('format_version')}")
+    missing = [key for key in ("kind", "config", "config_hash", "params") if key not in manifest]
+    if missing:
+        raise CheckpointError(f"{manifest_path} lacks {', '.join(missing)}")
     if config_hash(manifest["config"]) != manifest["config_hash"]:
         raise CheckpointError("config hash mismatch: checkpoint config was modified")
     params: dict[str, np.ndarray] = {}
     for name, shape in manifest["params"].items():
-        raw = (root / "params" / f"{_safe_name(name)}.f32").read_bytes()
+        tensor_path = root / "params" / f"{_safe_name(name)}.f32"
+        if not tensor_path.is_file():
+            raise CheckpointError(f"tensor {name}: no file {tensor_path}")
+        raw = tensor_path.read_bytes()
         arr = np.frombuffer(raw, dtype="<f4")
         expected = int(np.prod(shape)) if shape else 1
         if arr.size != expected:
@@ -69,6 +77,15 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray], dict]:
             raise CheckpointError(f"tensor {name}: sha256 mismatch, the tensor file was modified")
         params[name] = arr.reshape(shape).astype(np.float32)
     return manifest["kind"], params, manifest["config"]
+
+
+def config_of(cls, config: dict, path):
+    """``cls(**config)``; a config that does not fit ``cls`` raises
+    :class:`CheckpointError`."""
+    try:
+        return cls(**config)
+    except TypeError as exc:
+        raise CheckpointError(f"checkpoint {path}: config does not fit {cls.__name__} ({exc})") from None
 
 
 def _safe_name(name: str) -> str:

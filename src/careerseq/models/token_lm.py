@@ -28,7 +28,7 @@ import numpy as np
 
 from .. import autograd as ag
 from ..tokenizer import Vocabulary
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, config_of, load_checkpoint, save_checkpoint
 
 
 class ContextOverflowError(ValueError):
@@ -274,7 +274,10 @@ def load_token_lm(path) -> tuple[TokenLM, Vocabulary]:
     kind, params, config = load_checkpoint(path)
     if kind != "token_lm":
         raise ValueError(f"checkpoint kind {kind!r} is not a token LM")
-    model = TokenLM(TokenLmConfig(**config), seed=0)
+    model = TokenLM(config_of(TokenLmConfig, config, path), seed=0)
     model.params = {k: v.astype(np.float32) for k, v in params.items()}
-    vocab = Vocabulary.load_text(Path(path) / "vocab.txt")
+    vocab_path = Path(path) / "vocab.txt"
+    if not vocab_path.is_file():
+        raise CheckpointError(f"no vocab.txt under {path}")
+    vocab = Vocabulary.load_text(vocab_path)
     return model, vocab

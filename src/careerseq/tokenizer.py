@@ -4,18 +4,25 @@ Tokens 0..255 are raw bytes, so every UTF-8 string is encodable and
 ``decode(encode(s)) == s`` holds unconditionally. Training greedily merges
 the most frequent adjacent pair; ties break lexicographically on the pair's
 byte strings, making training a pure function of the corpus. Encoding
-replays merges in training order, which yields the same result as repeatedly
-applying the lowest-ranked applicable merge.
+applies the lowest-ranked merge present until none is left, which yields the
+same result as replaying every merge in training order: a merge's token only
+appears in merges of higher rank.
 
 Text is pre-split into word-like chunks (a letter, digit, or punctuation run
 with an optional leading space, or a whitespace run) and merges never cross
-chunk boundaries. Consequently encoding is compositional at chunk
-boundaries: a prompt that ends at a word boundary tokenizes the same way on
-its own as it does as a prefix of a longer text, which keeps continuation
-scoring consistent with how full documents tokenize during training. Splits
-that fall inside a chunk still tokenize differently from the concatenation,
-so callers must never assume encode(a + b) == encode(a) + encode(b) in
-general.
+chunk boundaries. The distinct chunk is therefore the unit of work, as in
+BPE training over a word-frequency table (Sennrich et al., arXiv:1508.07909):
+training counts each distinct chunk once and weights its pairs by the
+chunk's count, and ``Vocabulary`` memoizes chunk -> ids, so a chunk is
+merged once however many texts repeat it. Every merge, in training and
+encoding, is one left-to-right scan of ``_merge``.
+
+Consequently encoding is compositional at chunk boundaries: a prompt that
+ends at a word boundary tokenizes the same way on its own as it does as a
+prefix of a longer text, which keeps continuation scoring consistent with
+how full documents tokenize during training. Splits that fall inside a chunk
+still tokenize differently from the concatenation, so callers must never
+assume encode(a + b) == encode(a) + encode(b) in general.
 
 BOS/EOS sit at the top of the id space and never appear in encoder output;
 language-model code prepends BOS to every context and appends EOS after the
@@ -25,6 +32,7 @@ end-of-data marker.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -33,9 +41,6 @@ import numpy as np
 from .taxonomy import OccupationTaxonomy
 
 _BYTE_ALPHABET = 256
-_CHUNK_SENTINEL = -1
-_DOC_SENTINEL = -2
-_PAIR_SHIFT = 1 << 21
 
 _CHUNK_RE = re.compile(r" ?[A-Za-z]+| ?[0-9]+| ?[^\sA-Za-z0-9]+|\s+")
 
@@ -44,15 +49,19 @@ class TokenizerError(ValueError):
     pass
 
 
-def _doc_array(text: str) -> np.ndarray:
-    """Byte values of ``text`` with chunk sentinels between word chunks."""
-    parts: list[np.ndarray] = []
-    for chunk in _CHUNK_RE.findall(text):
-        parts.append(np.frombuffer(chunk.encode("utf-8"), dtype=np.uint8).astype(np.int64))
-        parts.append(np.array([_CHUNK_SENTINEL], dtype=np.int64))
-    if parts:
-        parts.pop()
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+def _merge(tokens: list[int], left: int, right: int, new_id: int) -> list[int]:
+    """Replace every non-overlapping (left, right) pair with new_id,
+    scanning left to right."""
+    out: list[int] = []
+    i, n = 0, len(tokens)
+    while i < n:
+        if i + 1 < n and tokens[i] == left and tokens[i + 1] == right:
+            out.append(new_id)
+            i += 2
+        else:
+            out.append(tokens[i])
+            i += 1
+    return out
 
 
 class Vocabulary:
@@ -60,8 +69,14 @@ class Vocabulary:
         self.merges = list(merges)
         self.target_size = target_size
         self.token_bytes: list[bytes] = [bytes([i]) for i in range(_BYTE_ALPHABET)]
-        for left, right in self.merges:
+        self._ranks: dict[tuple[int, int], int] = {}
+        for rank, (left, right) in enumerate(self.merges):
+            defined = len(self.token_bytes)
+            if not (0 <= left < defined and 0 <= right < defined):
+                raise TokenizerError(f"merge {rank} ({left}, {right}) uses an id not defined before it")
             self.token_bytes.append(self.token_bytes[left] + self.token_bytes[right])
+            self._ranks.setdefault((left, right), rank)
+        self._chunk_ids: dict[str, list[int]] = {}
         self.bos_id = _BYTE_ALPHABET + len(self.merges)
         self.eos_id = self.bos_id + 1
         self.specials = {"BOS": self.bos_id, "EOS": self.eos_id, "NEWLINE": 10}
@@ -75,32 +90,26 @@ class Vocabulary:
 
     # ------------------------------------------------------------ encoding
 
+    def _encode_chunk(self, chunk: str) -> list[int]:
+        """Ids of one chunk, memoized; the lowest-ranked merge present
+        applies first."""
+        ids = self._chunk_ids.get(chunk)
+        if ids is None:
+            ids = list(chunk.encode("utf-8"))
+            while len(ids) > 1:
+                pair = min(zip(ids, ids[1:]), key=lambda p: self._ranks.get(p, len(self.merges)))
+                rank = self._ranks.get(pair)
+                if rank is None:
+                    break
+                ids = _merge(ids, *pair, _BYTE_ALPHABET + rank)
+            self._chunk_ids[chunk] = ids
+        return ids
+
     def encode_batch(self, texts: Sequence[str]) -> list[list[int]]:
-        """Encode many texts in one vectorized pass over the merge list."""
-        if not texts:
-            return []
-        parts = []
-        for text in texts:
-            arr = _doc_array(text)
-            if arr.size:
-                parts.append(arr)
-            parts.append(np.array([_DOC_SENTINEL], dtype=np.int64))
-        arr = np.concatenate(parts)
-        for rank, (left, right) in enumerate(self.merges):
-            arr = _apply_merge(arr, left, right, _BYTE_ALPHABET + rank)
-        out: list[list[int]] = []
-        current: list[int] = []
-        for tok in arr.tolist():
-            if tok == _DOC_SENTINEL:
-                out.append(current)
-                current = []
-            elif tok != _CHUNK_SENTINEL:
-                current.append(tok)
-        return out
+        """Encode many texts: each text's chunks' memoized ids, joined."""
+        return [[i for chunk in _CHUNK_RE.findall(text) for i in self._encode_chunk(chunk)] for text in texts]
 
     def encode(self, text: str) -> list[int]:
-        if text == "":
-            return []
         return self.encode_batch([text])[0]
 
     def decode(self, ids: Iterable[int]) -> str:
@@ -147,80 +156,41 @@ class Vocabulary:
         return cls(merges, target_size)
 
 
-def _apply_merge(arr: np.ndarray, left: int, right: int, new_id: int) -> np.ndarray:
-    """Replace every non-overlapping (left, right) pair with new_id,
-    scanning left to right."""
-    if arr.size < 2:
-        return arr
-    hits = np.flatnonzero((arr[:-1] == left) & (arr[1:] == right))
-    if hits.size == 0:
-        return arr
-    if left == right:
-        # overlapping runs: keep greedily from the left
-        keep = []
-        last = -2
-        for pos in hits.tolist():
-            if pos == last + 1:
-                continue
-            keep.append(pos)
-            last = pos
-        hits = np.asarray(keep, dtype=np.int64)
-    arr = arr.copy()
-    arr[hits] = new_id
-    mask = np.ones(arr.size, dtype=bool)
-    mask[hits + 1] = False
-    return arr[mask]
-
-
-def train_vocab(corpus: Sequence[str], target_size: int, seed: int = 0) -> Vocabulary:
+def train_vocab(corpus: Sequence[str], target_size: int) -> Vocabulary:
     """Learn pair merges greedily until ``target_size`` base+merge tokens.
 
     ``target_size`` counts the 256 byte tokens plus learned merges; BOS and
-    EOS ride on top. Training stops early if no pair repeats. ``seed`` is
-    accepted for interface uniformity; the procedure is deterministic.
+    EOS ride on top. Training stops early if no pair repeats.
     """
     if not corpus or all(len(c) == 0 for c in corpus):
         raise TokenizerError("empty training corpus")
     if target_size < _BYTE_ALPHABET:
         raise TokenizerError(f"target_size {target_size} below byte alphabet {_BYTE_ALPHABET}")
-    parts = []
-    for text in corpus:
-        arr = _doc_array(text)
-        if arr.size:
-            parts.append(arr)
-        parts.append(np.array([_DOC_SENTINEL], dtype=np.int64))
-    arr = np.concatenate(parts)
+    counts = Counter(chunk for text in corpus for chunk in _CHUNK_RE.findall(text))
+    chunks = [(list(chunk.encode("utf-8")), n) for chunk, n in counts.items()]
     token_bytes: list[bytes] = [bytes([i]) for i in range(_BYTE_ALPHABET)]
     merges: list[tuple[int, int]] = []
     while _BYTE_ALPHABET + len(merges) < target_size:
-        if arr.size < 2:
+        pair_counts: Counter[tuple[int, int]] = Counter()
+        for ids, n in chunks:
+            for pair in zip(ids, ids[1:]):
+                pair_counts[pair] += n
+        if not pair_counts:
             break
-        a, b = arr[:-1], arr[1:]
-        valid = (a >= 0) & (b >= 0)
-        if not valid.any():
-            break
-        keys = a[valid] * _PAIR_SHIFT + b[valid]
-        uniq, counts = np.unique(keys, return_counts=True)
-        top = counts.max()
+        top = max(pair_counts.values())
         if top < 2:
             break
-        candidates = uniq[counts == top]
-        pairs = [(int(k // _PAIR_SHIFT), int(k % _PAIR_SHIFT)) for k in candidates]
-        left, right = min(pairs, key=lambda p: (token_bytes[p[0]], token_bytes[p[1]]))
+        left, right = min(
+            (p for p, c in pair_counts.items() if c == top), key=lambda p: (token_bytes[p[0]], token_bytes[p[1]])
+        )
         new_id = _BYTE_ALPHABET + len(merges)
-        arr = _apply_merge(arr, left, right, new_id)
+        chunks = [(_merge(ids, left, right, new_id) if left in ids else ids, n) for ids, n in chunks]
         merges.append((left, right))
         token_bytes.append(token_bytes[left] + token_bytes[right])
     return Vocabulary(merges, target_size)
 
 
-def train_template_vocab(
-    texts: Sequence[str],
-    title_continuations: Sequence[str],
-    target_size: int,
-    seed: int = 0,
-    title_boost: Optional[int] = None,
-) -> Vocabulary:
+def train_template_vocab(texts: Sequence[str], title_continuations: Sequence[str], target_size: int) -> Vocabulary:
     """Train a vocabulary for template scoring.
 
     Rare job titles would otherwise earn few merges and decompose into long
@@ -229,10 +199,9 @@ def train_template_vocab(
     corpus (the tokenizer corpus need not equal the model corpus) drives the
     greedy merges to compact each title into a handful of tokens.
     """
-    if title_boost is None:
-        title_boost = max(2, len(texts) // max(len(title_continuations), 1))
+    title_boost = max(2, len(texts) // max(len(title_continuations), 1))
     corpus = list(texts) + [t + "\n" for t in title_continuations] * title_boost
-    return train_vocab(corpus, target_size, seed=seed)
+    return train_vocab(corpus, target_size)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import json
+import shutil
 
 import pytest
 
@@ -7,7 +8,7 @@ from careerseq.cli import main
 from careerseq.corpus import load_jsonl
 from careerseq.evaluation import read_metrics_csv
 from careerseq.experiments import write_experiment_output
-from careerseq.models import CheckpointError, load_checkpoint
+from careerseq.models import CareerModel, CheckpointError, config_hash, load_checkpoint, load_token_lm
 from careerseq.taxonomy import OccupationTaxonomy, build_default_taxonomy
 
 SUBCOMMANDS = ["gen-data", "split", "render", "parse", "train", "eval", "experiment", "report"]
@@ -223,6 +224,78 @@ class TestTrainEval:
                      "--model-a", str(ckpt), "--out", str(d["dir"] / "x"), "--seed", "1"])
         assert code == 2
         assert "featurizer" in capsys.readouterr().err
+
+
+def _append_merge(ck, data):
+    with open(ck / "vocab.txt", "a", encoding="utf-8") as fh:
+        fh.write("merge 99999 3\n")
+
+
+def _edit_manifest(edit):
+    def apply(ck, data):
+        path = ck / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return apply
+
+
+def _unknown_config_key(manifest):
+    manifest["config"]["no_such_field"] = 1
+    manifest["config_hash"] = config_hash(manifest["config"])  # so the hash check passes
+    return manifest
+
+
+def _edit_first_record_line(edit):
+    def apply(ck, data):
+        lines = data.read_text().splitlines()
+        lines[1] = edit(json.loads(lines[1]))
+        data.write_text("\n".join(lines) + "\n")
+    return apply
+
+
+class TestMalformedInputsExitTwo:
+    @pytest.fixture(scope="class")
+    def checkpoints(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("ckpts")
+        data, tax, split = root / "data.jsonl", root / "tax.csv", root / "split.jsonl"
+        assert main(["gen-data", "--out", str(data), "--taxonomy-out", str(tax), "--n", "40",
+                     "--taxonomy-size", "8", "--seed", "5", "--mean-records", "4"]) == 0
+        assert main(["split", "--in", str(data), "--taxonomy", str(tax), "--out", str(split), "--seed", "3"]) == 0
+        flags = {
+            "lm": ["--vocab-size", "300", "--d-model", "8", "--n-layers", "1", "--epochs", "1", "--batch", "32",
+                   "--context", "64"],
+            "career": ["--d-model", "8", "--n-layers", "1", "--epochs", "1", "--batch", "32"],
+        }
+        for model, extra in flags.items():
+            assert main(["train", model, "--data", str(split), "--taxonomy", str(tax),
+                         "--out", str(root / model), "--seed", "1", *extra]) == 0
+        load_token_lm(root / "lm")  # the unbroken checkpoints load
+        CareerModel.load(root / "career", OccupationTaxonomy.load_csv(tax))
+        return {"root": root, "tax": tax, "split": split}
+
+    @pytest.mark.parametrize("model, breakage, message", [
+        ("lm", _append_merge, "not defined"),
+        ("lm", lambda ck, data: (ck / "vocab.txt").unlink(), "vocab.txt"),
+        ("lm", lambda ck, data: sorted((ck / "params").iterdir())[0].unlink(), "no file"),
+        ("career", lambda ck, data: (ck / "manifest.json").write_text("[1, 2]"), "JSON object"),
+        ("career", _edit_manifest(lambda m: {k: v for k, v in m.items() if k != "params"}), "lacks params"),
+        ("career", _edit_manifest(_unknown_config_key), "does not fit CareerConfig"),
+        ("lm", _edit_manifest(_unknown_config_key), "does not fit TokenLmConfig"),
+        ("career", _edit_first_record_line(lambda obj: json.dumps({k: v for k, v in obj.items() if k != "records"})),
+         "data.jsonl:2"),
+        ("career", _edit_first_record_line(lambda obj: json.dumps([obj])), "data.jsonl:2"),
+    ], ids=["vocab-merge-id-undefined", "no-vocab", "no-tensor-file", "manifest-not-object", "manifest-no-params",
+            "career-config-unknown-key", "lm-config-unknown-key", "jsonl-no-records", "jsonl-array-line"])
+    def test_eval_exits_two(self, checkpoints, tmp_path, model, breakage, message, capsys):
+        ck = tmp_path / model
+        shutil.copytree(checkpoints["root"] / model, ck)
+        data = tmp_path / "data.jsonl"
+        shutil.copyfile(checkpoints["split"], data)
+        breakage(ck, data)
+        code = main(["eval", "--data", str(data), "--taxonomy", str(checkpoints["tax"]),
+                     "--model-a", str(ck), "--out", str(tmp_path / "ev"), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert message in err
 
 
 class TestExperimentCommand:

@@ -6,6 +6,7 @@ from careerseq.evaluation import (
     BootstrapConfig,
     EvalError,
     TransitionScores,
+    _midranks,
     bootstrap_metric,
     bootstrap_pair,
     calibration,
@@ -143,6 +144,40 @@ class TestAuc:
             t=[1, 2, 3, 4],
         )
         assert 0.0 <= move_auc(scores) <= 1.0
+
+
+def _midranks_loop(values):
+    """The tie-walking loop ``_midranks`` replaced: 1-based ranks, ties
+    sharing the mean of the ranks they span."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values))
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestMidranks:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_tie_walking_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        # few distinct values so ties are common; signed zeros tie with each other
+        values = rng.choice(np.array([-0.0, 0.0, 0.25, 0.5, 1.0, -1.5, 1e-300]), size=n)
+        if seed % 2:
+            values = values + rng.integers(0, 3, size=n) * rng.uniform()
+        got = _midranks(values)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, _midranks_loop(values))
+
+    def test_empty_and_all_tied(self):
+        assert _midranks(np.array([])).size == 0
+        assert np.array_equal(_midranks(np.full(5, 0.3)), np.full(5, 3.0))
 
 
 class TestCalibration:

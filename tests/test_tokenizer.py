@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,6 +104,21 @@ class TestVocabularyIO:
         text = CORPUS[0]
         assert again.encode(text) == v.encode(text)
 
+    def test_reload_rebuilds_rank_table(self, tmp_path):
+        v = train_vocab(CORPUS, 400)
+        path = tmp_path / "vocab.txt"
+        v.dump_text(path)
+        again = Vocabulary.load_text(path)
+        texts = CORPUS[:2] + ["Cooks, Food servers", "  aaaa\t\n", "héllo 1984 (x)"]
+        assert again.encode_batch(texts) == v.encode_batch(texts)
+
+    @pytest.mark.parametrize("merge", ["merge 99999 3", "merge 3 256", "merge -1 3"])
+    def test_merge_id_not_yet_defined_rejected(self, tmp_path, merge):
+        path = tmp_path / "vocab.txt"
+        path.write_text(f"#careerseq-vocab-v1\ntarget_size 300\nspecials BOS=257 EOS=258 NEWLINE=10\n{merge}\n")
+        with pytest.raises(TokenizerError, match="not defined"):
+            Vocabulary.load_text(path)
+
     def test_header_check(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not a vocab\n")
@@ -178,3 +194,124 @@ class TestEncodingInvariants:
         code = data.draw(st.sampled_from(TAXONOMY.codes()))
         prompt, cont = CODEC.render_prompt(history, t), CODEC.title_continuation(code)
         assert TEMPLATE_VOCAB.encode(prompt) + TEMPLATE_VOCAB.encode(cont) == TEMPLATE_VOCAB.encode(prompt + cont)
+
+
+# --------------------------------------------------------------------------
+# Chunk-table training and memoized encoding against the sentinel-array
+# reference: one array for the whole corpus, sentinels between chunks and
+# documents, every merge replayed over it in training order
+# --------------------------------------------------------------------------
+
+_REF_CHUNK, _REF_DOC, _REF_SHIFT = -1, -2, 1 << 21
+
+
+def _ref_doc_array(text):
+    parts = []
+    for chunk in _CHUNK_RE.findall(text):
+        parts.append(np.frombuffer(chunk.encode("utf-8"), dtype=np.uint8).astype(np.int64))
+        parts.append(np.array([_REF_CHUNK], dtype=np.int64))
+    if parts:
+        parts.pop()
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def _ref_corpus_array(texts):
+    parts = []
+    for text in texts:
+        arr = _ref_doc_array(text)
+        if arr.size:
+            parts.append(arr)
+        parts.append(np.array([_REF_DOC], dtype=np.int64))
+    return np.concatenate(parts)
+
+
+def _ref_apply_merge(arr, left, right, new_id):
+    if arr.size < 2:
+        return arr
+    hits = np.flatnonzero((arr[:-1] == left) & (arr[1:] == right))
+    if hits.size == 0:
+        return arr
+    if left == right:
+        keep, last = [], -2
+        for pos in hits.tolist():
+            if pos == last + 1:
+                continue
+            keep.append(pos)
+            last = pos
+        hits = np.asarray(keep, dtype=np.int64)
+    arr = arr.copy()
+    arr[hits] = new_id
+    mask = np.ones(arr.size, dtype=bool)
+    mask[hits + 1] = False
+    return arr[mask]
+
+
+def _ref_train_merges(corpus, target_size):
+    arr = _ref_corpus_array(corpus)
+    token_bytes = [bytes([i]) for i in range(256)]
+    merges = []
+    while 256 + len(merges) < target_size and arr.size >= 2:
+        a, b = arr[:-1], arr[1:]
+        valid = (a >= 0) & (b >= 0)
+        if not valid.any():
+            break
+        uniq, counts = np.unique(a[valid] * _REF_SHIFT + b[valid], return_counts=True)
+        top = counts.max()
+        if top < 2:
+            break
+        pairs = [(int(k // _REF_SHIFT), int(k % _REF_SHIFT)) for k in uniq[counts == top]]
+        left, right = min(pairs, key=lambda p: (token_bytes[p[0]], token_bytes[p[1]]))
+        arr = _ref_apply_merge(arr, left, right, 256 + len(merges))
+        merges.append((left, right))
+        token_bytes.append(token_bytes[left] + token_bytes[right])
+    return merges
+
+
+def _ref_encode_batch(merges, texts):
+    if not texts:
+        return []
+    arr = _ref_corpus_array(texts)
+    for rank, (left, right) in enumerate(merges):
+        arr = _ref_apply_merge(arr, left, right, 256 + rank)
+    out, current = [], []
+    for tok in arr.tolist():
+        if tok == _REF_DOC:
+            out.append(current)
+            current = []
+        elif tok != _REF_CHUNK:
+            current.append(tok)
+    return out
+
+
+# few symbols, so runs overlap ("aaaa"), whitespace runs form and pairs repeat
+_PIECES = st.sampled_from(list("aaab  \t\n\nc1é世!,") + ["aaaa", "  ", "ab ab", "é世é"])
+_TEXTS = st.lists(_PIECES, max_size=15).map("".join)
+_DOCS = st.lists(_TEXTS, min_size=1, max_size=10)
+
+
+class TestChunkTableMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(corpus=_DOCS, extra=st.lists(_TEXTS, max_size=5),
+           n_merges=st.integers(1, 60))
+    def test_same_merges_and_ids(self, corpus, extra, n_merges):
+        if all(text == "" for text in corpus):
+            return
+        v = train_vocab(corpus, 256 + n_merges)
+        assert v.merges == _ref_train_merges(corpus, 256 + n_merges)
+        texts = corpus + extra
+        assert v.encode_batch(texts) == _ref_encode_batch(v.merges, texts)
+
+    def test_template_corpus(self):
+        corpus = CORPUS + [t + "\n" for t in CONTINUATIONS] * 2
+        assert TEMPLATE_VOCAB.merges == _ref_train_merges(corpus, 600)
+        assert TEMPLATE_VOCAB.encode_batch(corpus) == _ref_encode_batch(TEMPLATE_VOCAB.merges, corpus)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seen=st.lists(st.text(max_size=40), max_size=6), text=st.text(max_size=40))
+    def test_memo_does_not_change_ids(self, seen, text):
+        used = Vocabulary(TEMPLATE_VOCAB.merges, 600)
+        used.encode_batch(seen + CORPUS[:1])
+        ids = used.encode(text)
+        assert ids == Vocabulary(TEMPLATE_VOCAB.merges, 600).encode(text)
+        ids.append(-1)  # callers own the lists they get back
+        assert used.encode(text) == ids[:-1]
