@@ -4,10 +4,15 @@ Just enough machinery for the models in this package: broadcasting binary
 ops, batched matmul, gathers for embeddings, stable softmax family, layer
 norm, and a few pointwise nonlinearities. ``log_softmax_at`` is the loss op
 of both training objectives: a log-softmax read at integer targets, with an
-optional excluded class per row, in one graph node. Computation runs in
-float64 regardless of parameter storage dtype; leaves created with
-``requires_grad=False`` skip closure construction entirely, so inference
-reuses the same forward code at effectively raw-numpy cost.
+optional excluded class per row, in one graph node.
+
+A graph computes in the dtype of its leaves: :func:`leaves` hands training
+the stored (float32) parameters and scoring float64 copies. A tensor keeps
+float32 or float64 data as given, a constant operand takes the dtype of the
+tensor it meets, and a gradient takes its tensor's dtype, so nothing upcasts
+a float32 graph. Leaves created with ``requires_grad=False`` skip closure
+construction entirely, so inference reuses the same forward code at
+effectively raw-numpy cost.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ class Tensor:
         parents: Sequence["Tensor"] = (),
         backward: Optional[Callable[[np.ndarray], None]] = None,
     ):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self._parents = tuple(parents)
@@ -56,7 +62,7 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad.astype(self.data.dtype)  # a copy, in this tensor's dtype
         else:
             self.grad += grad
 
@@ -83,8 +89,22 @@ class Tensor:
                 node._backward(node.grad)
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def leaves(params: dict[str, np.ndarray], train: bool) -> dict[str, Tensor]:
+    """Graph leaves over ``params``: the stored arrays when training, so the
+    graph computes in their dtype, and float64 when scoring, so a score is
+    the same for any storage dtype of the same values."""
+    if train:
+        return {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+    return {k: Tensor(v.astype(np.float64, copy=False)) for k, v in params.items()}
+
+
+def _wrap(x, like: Optional[Tensor] = None) -> Tensor:
+    """``x`` as a tensor; a constant takes ``like``'s dtype, as a NumPy weak
+    scalar would, so a Python float or a float64 mask keeps a float32 graph
+    float32."""
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(x if like is None else np.asarray(x, dtype=like.data.dtype))
 
 
 def _node(data, parents, backward) -> Tensor:
@@ -94,7 +114,8 @@ def _node(data, parents, backward) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a = _wrap(a)
+    b = _wrap(b, a)
     out_data = a.data + b.data
 
     def backward(grad):
@@ -107,7 +128,8 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a = _wrap(a)
+    b = _wrap(b, a)
     out_data = a.data * b.data
 
     def backward(grad):
@@ -120,7 +142,8 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a = _wrap(a)
+    b = _wrap(b, a)
     out_data = a.data @ b.data
 
     def backward(grad):
@@ -206,7 +229,7 @@ def log_softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 def masked_softmax(a: Tensor, mask: Optional[np.ndarray], axis: int = -1) -> Tensor:
     """Softmax of ``a + mask`` where ``mask`` is a constant additive array
     (e.g. a causal mask); fused to avoid materializing the sum."""
-    out_data = softmax_np(a.data if mask is None else a.data + mask, axis=axis)
+    out_data = softmax_np(a.data if mask is None else a.data + mask.astype(a.data.dtype, copy=False), axis=axis)
 
     def backward(grad):
         if a.requires_grad:

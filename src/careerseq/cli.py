@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--featurizer", choices=["prev", "prev_covariates"], default="prev_covariates")
     t.add_argument("--reg", type=float, default=0.0)
     t.add_argument("--pretrain-data", default=None, help="career: optional pre-training JSONL")
-    t.set_defaults(func=cmd_train)
+    t.set_defaults(func=cmd_train, default_of=t.get_default)
 
     e = sub.add_parser("eval", help="score checkpoints on a split and write metrics CSV")
     common(e)
@@ -331,7 +331,30 @@ def cmd_parse(args) -> None:
         sys.stdout.write(json.dumps(_history_to_obj(h, None), separators=(",", ":")) + "\n")
 
 
+# the train options each model reads; every other one must keep its default
+_TRAIN_OPTIONS = {
+    "empirical": (),
+    "mnl": ("epochs", "featurizer", "reg"),
+    "career": ("preset", "epochs", "lr", "batch", "d_model", "n_layers", "pretrain_data"),
+    "lm": ("epochs", "lr", "batch", "vocab_size", "d_model", "n_layers", "context", "no_birth_year", "numeric_map"),
+}
+
+
+def _reject_unread_train_options(args) -> None:
+    """A train option, given as a flag or a ``--config`` key, that the chosen
+    model does not read is a configuration error, not silently dropped."""
+    read = set(_TRAIN_OPTIONS[args.model])
+    chosen = f"train {args.model}"
+    if args.model == "career" and args.preset == "paper":
+        read -= {"d_model", "n_layers"}  # the preset fixes the size
+        chosen += " --preset paper"
+    for dest in sorted(set().union(*_TRAIN_OPTIONS.values()) - read):
+        if getattr(args, dest) != args.default_of(dest):
+            raise CliError(f"--{dest.replace('_', '-')} does not apply to {chosen}")
+
+
 def cmd_train(args) -> None:
+    _reject_unread_train_options(args)
     taxonomy = OccupationTaxonomy.load_csv(args.taxonomy)
     ds = load_jsonl(args.data, taxonomy)
     if ds.split_labels is None:

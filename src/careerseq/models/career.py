@@ -163,7 +163,7 @@ class CareerModel:
         c = self.config
         prev = batch["prev"]
         b, t = prev.shape
-        leaves = {k: ag.Tensor(v, requires_grad=train) for k, v in self.params.items()}
+        leaves = ag.leaves(self.params, train)
         x = ag.gather_rows(leaves["occ_emb"], prev)
         x = ag.add(x, ag.reshape(ag.gather_rows(leaves["gender_emb"], batch["gender"]), (b, 1, c.d_model)))
         x = ag.add(x, ag.reshape(ag.gather_rows(leaves["eth_emb"], batch["ethnicity"]), (b, 1, c.d_model)))

@@ -10,13 +10,20 @@ distribution.
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..corpus import CareerHistory
 from ..taxonomy import OccupationTaxonomy
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import config_of, load_checkpoint, save_checkpoint
+
+
+@dataclass(frozen=True)
+class EmpiricalConfig:
+    taxonomy_size: int
+    normalized: bool
 
 
 class EmpiricalModel:
@@ -67,7 +74,7 @@ class EmpiricalModel:
             path,
             kind="empirical",
             params={"count_pair": self.count_pair.astype(np.float32)},
-            config={"taxonomy_size": self.taxonomy.size, "normalized": self.normalized},
+            config=asdict(EmpiricalConfig(self.taxonomy.size, self.normalized)),
         )
 
     @classmethod
@@ -75,9 +82,10 @@ class EmpiricalModel:
         kind, params, config = load_checkpoint(path)
         if kind != "empirical":
             raise ValueError(f"checkpoint kind {kind!r} is not an empirical model")
-        if config["taxonomy_size"] != taxonomy.size:
+        cfg = config_of(EmpiricalConfig, config, path)
+        if cfg.taxonomy_size != taxonomy.size:
             raise ValueError("taxonomy size mismatch")
-        model = cls(taxonomy, normalized=config["normalized"])
+        model = cls(taxonomy, normalized=cfg.normalized)
         model.count_pair = np.rint(params["count_pair"]).astype(np.int64)
         model.count_single = model.count_pair.sum(axis=1)
         return model

@@ -8,7 +8,7 @@ reproduces normalized empirical transition frequencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from ..autograd import softmax_np
 from ..corpus import EDUCATIONS, ETHNICITIES, GENDERS, REGIONS, CareerHistory
 from ..taxonomy import OccupationTaxonomy
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import config_of, load_checkpoint, save_checkpoint
 
 
 class Featurizer:
@@ -101,6 +101,14 @@ class MnlFitConfig:
     seed: int = 0
 
 
+@dataclass(frozen=True)
+class MnlConfig:
+    taxonomy_size: int
+    featurizer: str
+    feature_dim: int
+    reg: float
+
+
 class MnlModel:
     def __init__(self, featurizer: Featurizer, taxonomy: OccupationTaxonomy, reg: float = 0.0):
         self.featurizer = featurizer
@@ -171,12 +179,7 @@ class MnlModel:
             path,
             kind="mnl",
             params={"weights": self.weights.astype(np.float32)},
-            config={
-                "taxonomy_size": self.taxonomy.size,
-                "featurizer": self.featurizer.name,
-                "feature_dim": self.featurizer.dim,
-                "reg": self.reg,
-            },
+            config=asdict(MnlConfig(self.taxonomy.size, self.featurizer.name, self.featurizer.dim, self.reg)),
         )
 
     @classmethod
@@ -184,8 +187,9 @@ class MnlModel:
         kind, params, config = load_checkpoint(path)
         if kind != "mnl":
             raise ValueError(f"checkpoint kind {kind!r} is not an MNL model")
-        if config["featurizer"] != featurizer.name or config["feature_dim"] != featurizer.dim:
+        cfg = config_of(MnlConfig, config, path)
+        if cfg.featurizer != featurizer.name or cfg.feature_dim != featurizer.dim:
             raise ValueError("featurizer mismatch with checkpoint")
-        model = cls(featurizer, taxonomy, reg=config["reg"])
+        model = cls(featurizer, taxonomy, reg=cfg.reg)
         model.weights = params["weights"].astype(np.float64)
         return model

@@ -3,9 +3,10 @@
 Pre-norm blocks (causal multi-head attention, then a GELU feed-forward),
 learned positional embeddings, and a zero-initialized output projection so a
 fresh model predicts the uniform distribution. Parameters are stored in
-float32 (the checkpoint tensor format); all computation runs in float64, so
-scoring is a deterministic function of the stored parameters and
-save/load/score round-trips bit-exactly.
+float32 (the checkpoint tensor format). Training computes in the model's
+``dtype``; scoring, validation loss included, runs in float64, so a score is
+a deterministic function of the stored parameters and save/load/score
+round-trips bit-exactly.
 
 ``forward`` also takes the per-layer keys and values of a prefix it has
 already run (``past``) and returns the keys and values it attended over, so
@@ -125,7 +126,7 @@ class TokenLM:
             raise ContextOverflowError(f"{p} cached plus {t} new positions exceed context cap {c.context}")
         if past is not None and train:
             raise ValueError("a cached prefix is for inference only")
-        leaves = {k: ag.Tensor(v, requires_grad=train) for k, v in self.params.items()}
+        leaves = ag.leaves(self.params, train)
         x = ag.add(ag.gather_rows(leaves["tok_emb"], ids), ag.gather_rows(leaves["pos_emb"], np.arange(p, p + t)))
         h = c.d_model // c.n_heads
         causal = np.triu(np.full((t, p + t), -1e30), k=p + 1)[None, None, :, :]

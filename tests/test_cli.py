@@ -215,6 +215,37 @@ class TestTrainEval:
         rows = json.loads(reports[0])
         assert rows and set(rows[0]) == {"epoch", "train_loss", "valid_loss", "checkpoint_id"}
 
+    @pytest.mark.parametrize("model, flags, config, named", [
+        ("lm", ["--pretrain-data", "/nonexistent.jsonl"], None, "--pretrain-data"),
+        ("lm", ["--preset", "paper"], None, "--preset"),
+        ("lm", ["--featurizer", "prev"], None, "--featurizer"),
+        ("lm", ["--reg", "3"], None, "--reg"),
+        ("empirical", ["--epochs", "9"], None, "--epochs"),
+        ("empirical", ["--lr", "3"], None, "--lr"),
+        ("empirical", ["--d-model", "5"], None, "--d-model"),
+        ("mnl", ["--batch", "4"], None, "--batch"),
+        ("career", ["--vocab-size", "100"], None, "--vocab-size"),
+        ("career", ["--no-birth-year"], None, "--no-birth-year"),
+        ("career", ["--preset", "paper", "--n-layers", "1"], None, "--n-layers"),
+        ("empirical", [], {"reg": 3}, "--reg"),
+        ("mnl", [], {"context": 64}, "--context"),
+    ])
+    def test_option_the_model_does_not_read_exits_two(self, pipeline, model, flags, config, named, capsys):
+        d = pipeline
+        if config is not None:
+            (d["dir"] / "cfg.json").write_text(json.dumps(config))
+            flags = [*flags, "--config", str(d["dir"] / "cfg.json")]
+        out = d["dir"] / "unread"
+        assert main(["train", model, "--data", str(d["split"]), "--taxonomy", str(d["tax"]),
+                     "--out", str(out), "--seed", "1", *flags]) == 2
+        assert f"{named} does not apply to train {model}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_option_at_its_default_is_accepted(self, pipeline):
+        d = pipeline
+        assert main(["train", "empirical", "--data", str(d["split"]), "--taxonomy", str(d["tax"]),
+                     "--out", str(d["dir"] / "emp"), "--seed", "1", "--reg", "0", "--preset", "toy"]) == 0
+
     def test_mnl_eval_rejected_with_guidance(self, pipeline, capsys):
         d = pipeline
         ckpt = d["dir"] / "mnl"
@@ -244,6 +275,14 @@ def _unknown_config_key(manifest):
     return manifest
 
 
+def _drop_config_key(key):
+    def edit(manifest):
+        del manifest["config"][key]
+        manifest["config_hash"] = config_hash(manifest["config"])  # so the hash check passes
+        return manifest
+    return edit
+
+
 def _edit_first_record_line(edit):
     def apply(ck, data):
         lines = data.read_text().splitlines()
@@ -264,6 +303,7 @@ class TestMalformedInputsExitTwo:
             "lm": ["--vocab-size", "300", "--d-model", "8", "--n-layers", "1", "--epochs", "1", "--batch", "32",
                    "--context", "64"],
             "career": ["--d-model", "8", "--n-layers", "1", "--epochs", "1", "--batch", "32"],
+            "empirical": [],
         }
         for model, extra in flags.items():
             assert main(["train", model, "--data", str(split), "--taxonomy", str(tax),
@@ -280,11 +320,13 @@ class TestMalformedInputsExitTwo:
         ("career", _edit_manifest(lambda m: {k: v for k, v in m.items() if k != "params"}), "lacks params"),
         ("career", _edit_manifest(_unknown_config_key), "does not fit CareerConfig"),
         ("lm", _edit_manifest(_unknown_config_key), "does not fit TokenLmConfig"),
+        ("empirical", _edit_manifest(_drop_config_key("normalized")), "does not fit EmpiricalConfig"),
         ("career", _edit_first_record_line(lambda obj: json.dumps({k: v for k, v in obj.items() if k != "records"})),
          "data.jsonl:2"),
         ("career", _edit_first_record_line(lambda obj: json.dumps([obj])), "data.jsonl:2"),
     ], ids=["vocab-merge-id-undefined", "no-vocab", "no-tensor-file", "manifest-not-object", "manifest-no-params",
-            "career-config-unknown-key", "lm-config-unknown-key", "jsonl-no-records", "jsonl-array-line"])
+            "career-config-unknown-key", "lm-config-unknown-key", "empirical-config-missing-key", "jsonl-no-records",
+            "jsonl-array-line"])
     def test_eval_exits_two(self, checkpoints, tmp_path, model, breakage, message, capsys):
         ck = tmp_path / model
         shutil.copytree(checkpoints["root"] / model, ck)

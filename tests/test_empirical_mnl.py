@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,13 @@ from careerseq.corpus import (
     StaticCovariates,
 )
 from careerseq.models import (
+    CheckpointError,
     EmpiricalModel,
     MnlFitConfig,
     MnlModel,
     PrevCovariatesFeaturizer,
     PrevOccupationFeaturizer,
+    config_hash,
 )
 from careerseq.synthetic import SyntheticConfig, generate_synthetic
 from careerseq.taxonomy import build_default_taxonomy
@@ -170,6 +174,18 @@ class TestMnl:
         again = MnlModel.load(tmp_path / "mnl", feat, ds.taxonomy)
         h = ds.individuals[0]
         assert np.allclose(again.predict(h, 1), model.predict(h, 1), atol=1e-7)
+
+    @pytest.mark.parametrize("key", ["taxonomy_size", "featurizer", "feature_dim", "reg"])
+    def test_checkpoint_missing_config_key_rejected(self, tmp_path, key):
+        feat = PrevOccupationFeaturizer(TAX8)
+        MnlModel(feat, TAX8).save(tmp_path / "mnl")
+        path = tmp_path / "mnl" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["config"][key]
+        manifest["config_hash"] = config_hash(manifest["config"])  # so the hash check passes
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="does not fit MnlConfig"):
+            MnlModel.load(tmp_path / "mnl", feat, TAX8)
 
     def test_non_finite_features_rejected(self):
         model = MnlModel(PrevOccupationFeaturizer(TAX8), TAX8)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from careerseq import autograd as ag
 from careerseq.autograd import softmax_np
 from careerseq.corpus import CareerRecord, Education
 from careerseq.models import (
     CareerConfig,
     CareerModel,
     ContextOverflowError,
+    LmOccupationAdapter,
     TokenLM,
     TokenLmConfig,
     collate_token_batch,
@@ -329,3 +331,78 @@ class TestCareerModel:
         again = CareerModel.load(tmp_path / "career", ds.taxonomy)
         h = ds.individuals[0]
         assert np.array_equal(again.predict(h, 1), model.predict(h, 1))
+
+
+def _train_case(kind: str, world, dtype):
+    """A model with non-zero gradients everywhere, one training batch, and
+    the number of target positions in it."""
+    if kind == "lm":
+        lm, rng = _random_lm(context=80, seed=4)
+        seqs = [list(rng.integers(0, 60, size=int(rng.integers(10, 50)))) for _ in range(3)]
+        batch = collate_token_batch(seqs, pad_id=0)
+        return lm.astype(dtype), batch, batch["mask"].size
+    cfg, ds = world
+    config = CareerConfig(taxonomy_size=ds.taxonomy.size, d_model=16, n_layers=2, n_heads=2, d_ff=64,
+                          max_positions=16, year_range=cfg.year_range)
+    model = CareerModel(config, ds.taxonomy, seed=8)
+    model.params["eta"] = np.random.default_rng(8).normal(0, 0.1, model.params["eta"].shape).astype(np.float32)
+    batch = model.build_batch(list(ds.individuals[:6]))
+    return model.astype(dtype), batch, batch["valid"].size
+
+
+@pytest.mark.parametrize("kind", ["lm", "career"])
+class TestTrainingDtype:
+    """Training graphs compute in the model's dtype; scoring is float64 for any storage dtype."""
+
+    def test_float32_graph_has_no_large_float64_array(self, kind, world, monkeypatch):
+        model, batch, n_targets = _train_case(kind, world, np.float32)
+        made = []
+        node = ag._node
+
+        def spy(data, parents, backward):
+            out = node(data, parents, backward)
+            made.append(out.data)
+            return out
+
+        monkeypatch.setattr(ag, "_node", spy)
+        model.loss_and_grads(batch)
+        assert sum(a.size for a in made if a.dtype == np.float32) > 10 * n_targets
+        assert [a.shape for a in made if a.dtype == np.float64 and a.size > n_targets] == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_take_model_dtype(self, kind, world, dtype):
+        model, batch, _ = _train_case(kind, world, dtype)
+        _, grads = model.loss_and_grads(batch)
+        assert set(grads) == set(model.params)
+        assert {name: g.dtype for name, g in grads.items() if g.dtype != dtype} == {}
+
+    def test_float32_gradients_agree_with_float64(self, kind, world):
+        # the float64 model holds the float32 model's values exactly, so the two
+        # differ only by float32 rounding (eps 1.2e-7) in the forward and
+        # backward passes: 1e-4 of each tensor's largest gradient entry is
+        # about 800 eps of headroom
+        model, batch, _ = _train_case(kind, world, np.float32)
+        loss32, grads32 = model.loss_and_grads(batch)
+        loss64, grads64 = model.astype(np.float64).loss_and_grads(batch)
+        assert abs(loss32 - loss64) <= 1e-5 * abs(loss64)
+        for name, g64 in grads64.items():
+            assert np.abs(grads32[name] - g64).max() <= 1e-4 * np.abs(g64).max(), name
+
+    def test_scoring_does_not_depend_on_storage_dtype(self, kind, world, toy_bundle):
+        if kind == "lm":
+            adapter = toy_bundle["adapter"]
+            wide = LmOccupationAdapter(adapter.lm.astype(np.float64), adapter.vocab, adapter.codec)
+            rng = np.random.default_rng(13)
+            seqs = [rng.integers(0, adapter.vocab.size, size=n) for n in (9, 14, 12)]
+            for a, b in zip(adapter.lm.batched_log_probs(seqs, [4, 4, 7], pad_id=0),
+                            wide.lm.batched_log_probs(seqs, [4, 4, 7], pad_id=0)):
+                assert np.array_equal(a, b)
+            for h in toy_bundle["dataset"].split("test")[:3]:
+                for t in range(1, len(h) + 1):
+                    assert np.array_equal(adapter.predict(h, t), wide.predict(h, t))
+            return
+        model, _, _ = _train_case(kind, world, np.float32)
+        wide = model.astype(np.float64)
+        for h in world[1].individuals[:6]:
+            for a, b in zip(model.predict_all(h), wide.predict_all(h)):
+                assert np.array_equal(a, b)
