@@ -2,9 +2,11 @@
 
 Just enough machinery for the models in this package: broadcasting binary
 ops, batched matmul, gathers for embeddings, stable softmax family, layer
-norm, and a few pointwise nonlinearities. ``log_softmax_at`` is the loss op
-of both training objectives: a log-softmax read at integer targets, with an
-optional excluded class per row, in one graph node.
+norm, and a few pointwise nonlinearities. Two fused ops serve both
+transformers, each one graph node: ``causal_attention`` is their attention
+(scores, causal mask, softmax, weighted values and head merge), and
+``log_softmax_at`` is the loss of both training objectives, a log-softmax
+read at integer targets with an optional excluded class per row.
 
 A graph computes in the dtype of its leaves: :func:`leaves` hands training
 the stored (float32) parameters and scoring float64 copies. A tensor keeps
@@ -226,17 +228,40 @@ def log_softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def masked_softmax(a: Tensor, mask: Optional[np.ndarray], axis: int = -1) -> Tensor:
-    """Softmax of ``a + mask`` where ``mask`` is a constant additive array
-    (e.g. a causal mask); fused to avoid materializing the sum."""
-    out_data = softmax_np(a.data if mask is None else a.data + mask.astype(a.data.dtype, copy=False), axis=axis)
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float = 1.0) -> tuple[Tensor, np.ndarray]:
+    """Causal multi-head attention, ``softmax(scale * q k^T) v`` with the
+    heads merged, in one node.
+
+    ``q`` is (B, H, T, h) and ``k``, ``v`` are (B, H, S, h): the queries are
+    the last T of S positions, after a cached prefix of S - T, so query t
+    sees keys 0..S - T + t. Returns the (B, T, H*h) output and the
+    (B, H, T, S) probabilities. The backward works from the saved
+    probabilities (as FlashAttention, Dao et al., arXiv:2205.14135) with the
+    unfused composition's matmuls on the same views, so the gradients of
+    distinct q, k and v are bit-identical to it.
+    """
+    b, n_heads, t, h = q.shape
+    s = k.shape[2]
+    scale_t = np.asarray(scale, dtype=q.data.dtype)
+    scores = q.data @ np.swapaxes(k.data, -1, -2)
+    scores *= scale_t
+    scores += np.triu(np.full((t, s), _NEG, dtype=scores.dtype), k=s - t + 1)
+    probs = softmax_np(scores)
+    out_data = (probs @ v.data).transpose(0, 2, 1, 3).reshape(b, t, n_heads * h)
 
     def backward(grad):
-        if a.requires_grad:
-            dot = (grad * out_data).sum(axis=axis, keepdims=True)
-            a._accumulate(out_data * (grad - dot))
+        g = grad.reshape(b, t, n_heads, h).transpose(0, 2, 1, 3)
+        if v.requires_grad:
+            v._accumulate(np.swapaxes(probs, -1, -2) @ g)
+        g_probs = g @ np.swapaxes(v.data, -1, -2)
+        g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
+        g_scores *= scale_t
+        if q.requires_grad:
+            q._accumulate(g_scores @ k.data)
+        if k.requires_grad:
+            k._accumulate(np.swapaxes(np.swapaxes(q.data, -1, -2) @ g_scores, -1, -2))
 
-    return _node(out_data, (a,), backward)
+    return _node(out_data, (q, k, v), backward), probs
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:

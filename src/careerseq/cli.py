@@ -129,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--config", default=None, help="JSON config file; explicit flags win")
 
     g = sub.add_parser("gen-data", help="generate a synthetic dataset with a ground-truth oracle")
@@ -207,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--split", default="test")
     e.add_argument("--bootstrap", type=int, default=100)
     e.add_argument("--out", required=True, help="output directory")
-    e.add_argument("--normalized", action="store_true", help="normalize the empirical baseline's rows")
+    e.add_argument("--normalized", action="store_true", help="normalize the rows of each empirical model")
     e.add_argument("--no-birth-year", action="store_true")
     e.add_argument("--numeric-map", default=None)
     e.add_argument("--dataset-name", default="synthetic")
@@ -371,6 +370,7 @@ def cmd_train(args) -> None:
         model.fit(train, MnlFitConfig(max_iters=args.epochs or 2000, seed=args.seed))
         model.save(out)
     elif args.model == "career":
+        pretrain = list(load_jsonl(args.pretrain_data, taxonomy).individuals) if args.pretrain_data else []
         if args.preset == "paper":
             cconf = paper_preset(taxonomy.size)
         else:
@@ -380,13 +380,9 @@ def cmd_train(args) -> None:
                 n_layers=args.n_layers if args.n_layers is not None else 4,
                 n_heads=2,
                 d_ff=4 * (args.d_model or 64),
-                max_positions=max(len(h) for h in ds.individuals) + 1,
+                max_positions=max(len(h) for h in [*ds.individuals, *pretrain]) + 1,
             )
         model = CareerModel(cconf, taxonomy, seed=args.seed)
-        pretrain = None
-        if args.pretrain_data:
-            pre = load_jsonl(args.pretrain_data, taxonomy)
-            pretrain = list(pre.individuals)
         cfg = OptimizerConfig(
             lr_schedule=LrSchedule(kind="inverse_sqrt_warmup", peak=args.lr or 1e-3, warmup_steps=100, init=1e-7),
             max_epochs=args.epochs or 10,
@@ -464,8 +460,13 @@ def cmd_eval(args) -> None:
     if not histories:
         raise CliError(f"split {args.split!r} is empty")
     model_a, hash_a = _load_model(args, args.model_a, taxonomy)
-    if isinstance(model_a, EmpiricalModel):
-        model_a.normalized = args.normalized
+    model_b, hash_b = _load_model(args, args.model_b, taxonomy) if args.model_b else (None, None)
+    empirical = [m for m in (model_a, model_b) if isinstance(m, EmpiricalModel)]
+    if args.normalized and not empirical:
+        raise CliError("--normalized applies to empirical checkpoints, and neither model is one")
+    for model in empirical:
+        model.normalized = args.normalized
+    if empirical:
         # reference figure at production scale, for orientation only
         print("note: empirical-frequency baseline perplexity at production scale: 14.647 (PSID81)", file=sys.stderr)
     out = Path(args.out)
@@ -479,10 +480,9 @@ def cmd_eval(args) -> None:
         "bootstrap": args.bootstrap,
     }
     calib = ev.calibration(scores_a)
-    if args.model_b:
-        model_b, hash_b = _load_model(args, args.model_b, taxonomy)
+    if model_b is not None:
         scores_b = ev.score_model(model_b, histories, taxonomy)
-        pair = ev.bootstrap_pair(ev.perplexity, scores_b, scores_a, bcfg, threads=args.threads)
+        pair = ev.bootstrap_pair(ev.perplexity, scores_b, scores_a, bcfg)
         rows = _metric_rows(args, "model_a", scores_a, bcfg, pair.point_b, pair.se_b, calib)
         rows.extend(_metric_rows(args, "model_b", scores_b, bcfg, pair.point_a, pair.se_a, ev.calibration(scores_b)))
         rows.append(
@@ -490,7 +490,7 @@ def cmd_eval(args) -> None:
         )
         provenance["config_hash_b"] = hash_b
     else:
-        res = ev.bootstrap_metric(ev.perplexity, scores_a, bcfg, threads=args.threads)
+        res = ev.bootstrap_metric(ev.perplexity, scores_a, bcfg)
         rows = _metric_rows(args, "model_a", scores_a, bcfg, res.point, res.se, calib)
     ev.write_metrics_csv(out / "metrics.csv", rows, provenance)
     ev.write_calibration_csv(out / "calibration_model_a.csv", calib, provenance)

@@ -13,7 +13,9 @@ occupation receives exactly the stay probability. At t=1 the gate is forced
 open and the softmax runs over the whole taxonomy.
 
 Heads split the embedding channels; with one head the attention reduces to a
-single bilinear form over the full state.
+single bilinear form over the full state. The bilinear attention is
+:func:`autograd.causal_attention` with queries ``h W`` and the state ``h`` as
+both keys and values, unscaled.
 """
 
 from __future__ import annotations
@@ -172,15 +174,12 @@ class CareerModel:
         x = ag.add(x, ag.gather_rows(leaves["year_emb"], batch["year_bucket"]))
         x = ag.add(x, ag.gather_rows(leaves["time_emb"], np.arange(t)))
         h = c.d_model // c.n_heads
-        causal = np.triu(np.full((t, t), _NEG), k=1)[None, None, :, :]
         for i in range(c.n_layers):
             hh = ag.transpose(ag.reshape(x, (b, t, c.n_heads, h)), (0, 2, 1, 3))
             q = ag.matmul(hh, leaves[f"l{i}.w"])  # h_t^T W applied per head slice
-            scores = ag.matmul(q, ag.transpose(hh, (0, 1, 3, 2)))
-            att = ag.masked_softmax(scores, causal, axis=-1)
+            ctx, att = ag.causal_attention(q, hh, hh)
             if collect_att is not None:
-                collect_att.append(att.data.copy())
-            ctx = ag.reshape(ag.transpose(ag.matmul(att, hh), (0, 2, 1, 3)), (b, t, c.d_model))
+                collect_att.append(att)
             mixed = ag.add(x, ctx)
             x = ag.add(
                 ag.matmul(ag.gelu(ag.add(ag.matmul(mixed, leaves[f"l{i}.w1"]), leaves[f"l{i}.b1"])), leaves[f"l{i}.w2"]),

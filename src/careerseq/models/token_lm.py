@@ -1,7 +1,8 @@
 """Decoder-only transformer language model over the byte-merge vocabulary.
 
-Pre-norm blocks (causal multi-head attention, then a GELU feed-forward),
-learned positional embeddings, and a zero-initialized output projection so a
+Pre-norm blocks (causal multi-head attention through
+:func:`autograd.causal_attention`, then a GELU feed-forward), learned
+positional embeddings, and a zero-initialized output projection so a
 fresh model predicts the uniform distribution. Parameters are stored in
 float32 (the checkpoint tensor format). Training computes in the model's
 ``dtype``; scoring, validation loss included, runs in float64, so a score is
@@ -12,7 +13,8 @@ round-trips bit-exactly.
 already run (``past``) and returns the keys and values it attended over, so
 a shared prompt runs once and its continuations run against the cache (the
 key/value cache of Pope et al., arXiv:2211.05102). A batch-1 prefix is
-shared by every row of the new tokens, which take the positions after it.
+shared by every row of the new tokens, which take the positions after it;
+the attention op reads the prefix length from the key shapes.
 Training never passes ``past``. ``batched_log_probs`` scores titles this
 way; ``next_token_distribution`` and ``sequence_log_probs`` run the whole
 sequence and stay the uncached references.
@@ -129,7 +131,6 @@ class TokenLM:
         leaves = ag.leaves(self.params, train)
         x = ag.add(ag.gather_rows(leaves["tok_emb"], ids), ag.gather_rows(leaves["pos_emb"], np.arange(p, p + t)))
         h = c.d_model // c.n_heads
-        causal = np.triu(np.full((t, p + t), -1e30), k=p + 1)[None, None, :, :]
         present = []
         for i in range(c.n_layers):
             ln1 = ag.layer_norm(x, leaves[f"l{i}.ln1_g"], leaves[f"l{i}.ln1_b"])
@@ -143,9 +144,7 @@ class TokenLM:
             if past is not None:
                 k, v = (ag.Tensor(_after(cached, new.data)) for cached, new in zip(past[i], (k, v)))
             present.append((k.data, v.data))
-            scores = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(h))
-            att = ag.masked_softmax(scores, causal, axis=-1)
-            ctx = ag.reshape(ag.transpose(ag.matmul(att, v), (0, 2, 1, 3)), (b, t, c.d_model))
+            ctx, _ = ag.causal_attention(q, k, v, 1.0 / math.sqrt(h))
             x = ag.add(x, ag.matmul(ctx, leaves[f"l{i}.wo"]))
             ln2 = ag.layer_norm(x, leaves[f"l{i}.ln2_g"], leaves[f"l{i}.ln2_b"])
             ff = ag.add(

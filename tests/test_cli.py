@@ -89,6 +89,19 @@ class TestUsage:
         assert main(["gen-data", "--out", str(b), "--n", "7", "--taxonomy-size", "8", "--seed", "1"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("cmd", ["gen-data", "eval"])
+    def test_threads_flag_is_gone(self, pipeline, cmd, capsys):
+        d = pipeline
+        out = d["dir"] / "o"
+        argv = {
+            "gen-data": ["gen-data", "--out", str(out), "--n", "5", "--taxonomy-size", "8"],
+            "eval": ["eval", "--data", str(d["split"]), "--taxonomy", str(d["tax"]), "--model-a", "oracle",
+                     "--gen-params", str(d["params"]), "--out", str(out)],
+        }[cmd]
+        assert main([*argv, "--seed", "1", "--threads", "7"]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("values", [{"n": "seven"}, {"markov_order": 3}, {"markov-order": "2x"}])
     def test_config_value_bad_type_or_choice_exits_two(self, tmp_path, values, capsys):
         cfg = tmp_path / "cfg.json"
@@ -239,6 +252,46 @@ class TestTrainEval:
         assert main(["train", model, "--data", str(d["split"]), "--taxonomy", str(d["tax"]),
                      "--out", str(out), "--seed", "1", *flags]) == 2
         assert f"{named} does not apply to train {model}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_career_positions_cover_longer_pretraining_histories(self, pipeline):
+        d = pipeline
+        pre = d["dir"] / "pre.jsonl"
+        assert main(["gen-data", "--out", str(pre), "--taxonomy-out", str(d["dir"] / "pre_tax.csv"),
+                     "--n", "12", "--taxonomy-size", "10", "--seed", "6", "--mean-records", "20"]) == 0
+        taxonomy = OccupationTaxonomy.load_csv(d["tax"])
+        longest = max(len(h) for h in load_jsonl(pre, taxonomy).individuals)
+        assert longest > max(len(h) for h in load_jsonl(d["split"], taxonomy).individuals)
+        out = d["dir"] / "career"
+        assert main(["train", "career", "--data", str(d["split"]), "--taxonomy", str(d["tax"]), "--out", str(out),
+                     "--pretrain-data", str(pre), "--seed", "2", "--d-model", "8", "--n-layers", "1",
+                     "--epochs", "1"]) == 0
+        _, _, config = load_checkpoint(out)
+        assert config["max_positions"] >= longest
+
+    def test_normalized_applies_to_empirical_model_b(self, pipeline):
+        d = pipeline
+        ckpt = d["dir"] / "emp"
+        assert main(["train", "empirical", "--data", str(d["split"]), "--taxonomy", str(d["tax"]),
+                     "--out", str(ckpt), "--seed", "1"]) == 0
+        ppl = {}
+        for flags in ([], ["--normalized"]):
+            out = d["dir"] / f"eval{len(flags)}"
+            assert main(["eval", "--data", str(d["split"]), "--taxonomy", str(d["tax"]), "--model-a", "oracle",
+                         "--model-b", str(ckpt), "--gen-params", str(d["params"]), "--out", str(out),
+                         "--bootstrap", "5", "--seed", "4", *flags]) == 0
+            rows, _ = read_metrics_csv(out / "metrics.csv")
+            ppl[len(flags)] = {r["model"]: float(r["value"]) for r in rows
+                               if r["metric"] == "perplexity" and r["filter"] == "all"}
+        assert ppl[0]["model_a"] == ppl[1]["model_a"]  # the oracle is untouched
+        assert ppl[0]["model_b"] != ppl[1]["model_b"]
+
+    def test_normalized_without_an_empirical_model_exits_two(self, pipeline, capsys):
+        d = pipeline
+        out = d["dir"] / "eval"
+        assert main(["eval", "--data", str(d["split"]), "--taxonomy", str(d["tax"]), "--model-a", "oracle",
+                     "--gen-params", str(d["params"]), "--out", str(out), "--seed", "4", "--normalized"]) == 2
+        assert "--normalized" in capsys.readouterr().err
         assert not out.exists()
 
     def test_option_at_its_default_is_accepted(self, pipeline):
