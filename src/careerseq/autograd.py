@@ -2,11 +2,11 @@
 
 Just enough machinery for the models in this package: broadcasting binary
 ops, batched matmul, gathers for embeddings, stable softmax family, layer
-norm, and a few pointwise nonlinearities. Two fused ops serve both
-transformers, each one graph node: ``causal_attention`` is their attention
-(scores, causal mask, softmax, weighted values and head merge), and
-``log_softmax_at`` is the loss of both training objectives, a log-softmax
-read at integer targets with an optional excluded class per row.
+norm, and a few pointwise nonlinearities. ``causal_attention`` is the
+attention of both transformers in one node. ``cross_entropy`` is the one
+softmax cross-entropy of every trained head (token LM, career, MNL): the
+log-probabilities at integer targets and their gradient, one-hot minus
+softmax; ``lm_head_nll`` is the token LM's loss node around it.
 
 A graph computes in the dtype of its leaves: :func:`leaves` hands training
 the stored (float32) parameters and scoring float64 copies. A tensor keeps
@@ -187,18 +187,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def log_sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    # stable: log sigma(x) = min(x, 0) - log1p(exp(-|x|))
-    out_data = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * (1.0 / (1.0 + np.exp(x))))  # sigma(-x)
-
-    return _node(out_data, (a,), backward)
-
-
 def gelu(a: Tensor) -> Tensor:
     """GELU with the tanh approximation (smooth, so finite differences agree)."""
     x = a.data
@@ -275,34 +263,38 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def log_softmax_at(a: Tensor, targets: np.ndarray, exclude: Optional[np.ndarray] = None) -> Tensor:
-    """``log_softmax(a)`` over the last axis, read at integer ``targets``.
+def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-softmax of each row of ``logits`` (n, C) read at integer
+    ``targets`` (n,), and its gradient, one-hot minus softmax. A -1e30 logit
+    excludes its class. Overwrites ``logits``; the gradient reuses its buffer."""
+    at = (np.arange(targets.size), targets)
+    logits -= logits.max(axis=-1, keepdims=True)
+    picked = logits[at]
+    grad = np.exp(logits, out=logits)
+    total = grad.sum(axis=-1, keepdims=True)
+    grad /= -total
+    grad[at] += 1.0
+    return picked - np.log(total[:, 0]), grad
 
-    ``targets`` covers a leading block of the batch axes: for ``a`` of shape
-    (B, T, V) and ``targets`` of shape (B, T') with T' <= T, row (b, t) reads
-    ``a[b, t]``, and rows past the block get zero gradient. ``exclude``,
-    shaped like ``targets``, names one class per row that is set to -1e30
-    before the softmax; -1 excludes nothing.
-    """
-    targets = np.asarray(targets)
-    block = tuple(slice(0, n) for n in targets.shape)
-    at = np.ix_(*[np.arange(n) for n in targets.shape]) + (targets,)
-    x = a.data[block]
-    if exclude is not None:
-        rows = np.nonzero(exclude >= 0)
-        x = x.copy()
-        x[rows + (exclude[rows],)] = _NEG
-    lp = log_softmax_np(x)
+
+def lm_head_nll(final: Tensor, w_out: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Mean NLL of the rows of ``final`` (B, T, d) where ``mask`` (B, T') is 1,
+    projected by ``w_out`` (d, V) and read at ``targets`` (B, T'), in one node;
+    no other row builds logits (fused linear cross-entropy, arXiv:2410.10989)."""
+    rows = np.nonzero(mask)
+    x = final.data[rows]
+    lp, g_logits = cross_entropy(x @ w_out.data, targets[rows])
 
     def backward(grad):
-        if a.requires_grad:
-            # log_softmax's grad - soft * grad.sum() term for term, so bit-identical to it
-            g = np.zeros_like(a.data)
-            g[block] -= np.exp(lp) * grad[..., None]
-            g[block][at] += grad
-            a._accumulate(g)
+        np.multiply(g_logits, grad * (-1.0 / lp.size), out=g_logits)
+        if final.requires_grad:
+            g = np.zeros_like(final.data)
+            g[rows] = g_logits @ w_out.data.T
+            final._accumulate(g)
+        if w_out.requires_grad:
+            w_out._accumulate(x.T @ g_logits)
 
-    return _node(lp[at], (a,), backward)
+    return _node(lp.sum() * (-1.0 / lp.size), (final, w_out), backward)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -465,7 +465,7 @@ def cmd_eval(args) -> None:
     if args.normalized and not empirical:
         raise CliError("--normalized applies to empirical checkpoints, and neither model is one")
     for model in empirical:
-        model.normalized = args.normalized
+        model.normalized = model.normalized or args.normalized  # the flag never undoes the manifest's setting
     if empirical:
         # reference figure at production scale, for orientation only
         print("note: empirical-frequency baseline perplexity at production scale: 14.647 (PSID81)", file=sys.stderr)
@@ -486,7 +486,7 @@ def cmd_eval(args) -> None:
         rows = _metric_rows(args, "model_a", scores_a, bcfg, pair.point_b, pair.se_b, calib)
         rows.extend(_metric_rows(args, "model_b", scores_b, bcfg, pair.point_a, pair.se_a, ev.calibration(scores_b)))
         rows.append(
-            _metric_row(args, bcfg, "model_b-minus-model_a", "perplexity_improvement", "all", pair.diff, pair.se_diff)
+            _metric_row(args, bcfg, "model_b-minus-model_a", "perplexity_difference", "all", pair.diff, pair.se_diff)
         )
         provenance["config_hash_b"] = hash_b
     else:

@@ -273,7 +273,6 @@ def calibration(scores: TransitionScores, n_bins: int = 10, per_bin_mean: bool =
 class BootstrapConfig:
     b: int = 100
     seed: int = 0
-    level: str = "test_set"  # test_set | train_set
 
     def __post_init__(self):
         if self.b < 2:
@@ -406,7 +405,7 @@ def train_set_bootstrap(
     test: Sequence[CareerHistory],
     taxonomy: OccupationTaxonomy,
     metric_fn: Callable[[TransitionScores], float],
-    cfg: BootstrapConfig = BootstrapConfig(b=12, level="train_set"),
+    cfg: BootstrapConfig = BootstrapConfig(b=12),
 ) -> TrainSetBootstrapResult:
     """Refit the model on individual-resampled training sets and evaluate
     each refit on the complete, fixed test split. Replicates whose training

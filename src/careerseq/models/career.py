@@ -10,7 +10,8 @@ feed-forward that produces the next layer's state.
 The head first gates stay vs move with a logistic score, then softmaxes
 movers over every occupation except the previous one; the previous
 occupation receives exactly the stay probability. At t=1 the gate is forced
-open and the softmax runs over the whole taxonomy.
+open and the softmax runs over the whole taxonomy. Scoring and the loss, one
+node over :func:`autograd.cross_entropy`, read the logits from ``_head_logits``.
 
 Heads split the embedding channels; with one head the attention reduces to a
 single bilinear form over the full state. The bilinear attention is
@@ -167,9 +168,9 @@ class CareerModel:
         b, t = prev.shape
         leaves = ag.leaves(self.params, train)
         x = ag.gather_rows(leaves["occ_emb"], prev)
-        x = ag.add(x, ag.reshape(ag.gather_rows(leaves["gender_emb"], batch["gender"]), (b, 1, c.d_model)))
-        x = ag.add(x, ag.reshape(ag.gather_rows(leaves["eth_emb"], batch["ethnicity"]), (b, 1, c.d_model)))
-        x = ag.add(x, ag.reshape(ag.gather_rows(leaves["region_emb"], batch["region"]), (b, 1, c.d_model)))
+        x = ag.add(x, ag.gather_rows(leaves["gender_emb"], batch["gender"][:, None]))
+        x = ag.add(x, ag.gather_rows(leaves["eth_emb"], batch["ethnicity"][:, None]))
+        x = ag.add(x, ag.gather_rows(leaves["region_emb"], batch["region"][:, None]))
         x = ag.add(x, ag.gather_rows(leaves["edu_emb"], batch["edu"]))
         x = ag.add(x, ag.gather_rows(leaves["year_emb"], batch["year_bucket"]))
         x = ag.add(x, ag.gather_rows(leaves["time_emb"], np.arange(t)))
@@ -203,16 +204,22 @@ class CareerModel:
 
     # ------------------------------------------------------------ predicting
 
+    def _head_logits(self, h: np.ndarray, beta: np.ndarray, eta: np.ndarray, prev: np.ndarray):
+        """Occupation logits (n, K), with -1e30 at the previous occupation
+        after t = 1, move logits (n,), and the mask of rows past t = 1."""
+        occ_logits = h @ beta.T
+        gated = prev != self.null_index
+        occ_logits[gated, prev[gated]] = _NEG
+        return occ_logits, h @ eta, gated
+
     def _two_stage_rows(self, h: np.ndarray, prev: np.ndarray) -> np.ndarray:
         """Distributions for each row of ``h`` (n, d) given prev indices (n,)."""
-        occ_logits = h @ self.params["beta"].astype(np.float64).T
-        move_logit = h @ self.params["eta"].astype(np.float64)
-        rows = np.nonzero(prev != self.null_index)[0]
-        occ_logits[rows, prev[rows]] = _NEG
+        beta, eta = (self.params[k].astype(np.float64) for k in ("beta", "eta"))
+        occ_logits, move_logit, gated = self._head_logits(h, beta, eta, prev)
         out = ag.softmax_np(occ_logits)
-        p_move = 1.0 / (1.0 + np.exp(-move_logit[rows]))
-        out[rows] *= p_move[:, None]
-        out[rows, prev[rows]] = 1.0 - p_move
+        p_move = 1.0 / (1.0 + np.exp(-move_logit[gated]))
+        out[gated] *= p_move[:, None]
+        out[gated, prev[gated]] = 1.0 - p_move
         return out
 
     def predict_all(self, history: CareerHistory) -> list[np.ndarray]:
@@ -230,24 +237,32 @@ class CareerModel:
 
     def _loss_graph(self, batch: dict, train: bool):
         x, leaves = self._forward_graph(batch, train=train)
-        prev = batch["prev"]
-        target = batch["target"]
-        valid = batch["valid"]
-        move_logit = ag.tsum(ag.mul(x, ag.reshape(leaves["eta"], (1, 1, -1))), axis=-1)
-        occ_logits = ag.matmul(x, ag.transpose(leaves["beta"], (1, 0)))
-        is_first = prev == self.null_index
-        is_stay = (target == prev) & ~is_first
-        is_move = ~is_first & ~is_stay
-        # full softmax at t = 1; movers' softmax excludes the previous occupation
-        lp_occ = ag.log_softmax_at(occ_logits, target, np.where(is_first, -1, prev))
-        lp_stay = ag.log_sigmoid(ag.mul(move_logit, -1.0))
-        lp_move_gate = ag.log_sigmoid(move_logit)
-        picked = ag.add(
-            ag.add(ag.mul(lp_occ, is_first * valid), ag.mul(lp_stay, is_stay * valid)),
-            ag.mul(ag.add(lp_move_gate, lp_occ), is_move * valid),
-        )
-        loss = ag.mul(ag.tsum(picked), -1.0 / valid.sum())
-        return loss, leaves
+        return self._head_nll(x, leaves["beta"], leaves["eta"], batch), leaves
+
+    def _head_nll(self, x: ag.Tensor, beta: ag.Tensor, eta: ag.Tensor, batch: dict) -> ag.Tensor:
+        """Mean NLL over the valid rows of ``x``, in one node: movers and t = 1
+        read the occupation softmax; after t = 1 the gate is a two-class
+        softmax over [0, x . eta], i.e. log sigma(-m) to stay, log sigma(m) to move."""
+        rows = np.nonzero(batch["valid"])
+        h = x.data[rows]
+        prev, target = batch["prev"][rows], batch["target"][rows]
+        occ_logits, move_logit, gated = self._head_logits(h, beta.data, eta.data, prev)
+        moved = target != prev  # true at t = 1 too; a stay's target is the excluded class
+        lp_occ, g_occ = ag.cross_entropy(occ_logits, target)
+        lp_gate, g_gate = ag.cross_entropy(np.stack([np.zeros_like(move_logit), move_logit], axis=1), moved.astype(np.int64))
+        g_occ[~moved] = 0.0
+        g_move = np.where(gated, g_gate[:, 1], 0.0)
+        n = h.shape[0]
+
+        def backward(grad):
+            scale = grad * (-1.0 / n)
+            g = np.zeros_like(x.data)  # training: x, beta and eta all take gradients
+            g[rows] = (g_occ @ beta.data + g_move[:, None] * eta.data) * scale
+            x._accumulate(g)
+            beta._accumulate(g_occ.T @ h * scale)
+            eta._accumulate(g_move @ h * scale)
+
+        return ag._node((lp_occ[moved].sum() + lp_gate[gated].sum()) * (-1.0 / n), (x, beta, eta), backward)
 
     def loss_and_grads(self, batch: dict) -> tuple[float, dict[str, np.ndarray]]:
         loss_t, leaves = self._loss_graph(batch, train=True)

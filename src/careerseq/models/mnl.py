@@ -1,9 +1,10 @@
 """Multinomial logistic regression over hand-built or embedding features.
 
 The featurizer turns (history, t) into a fixed-length vector; the model
-softmaxes one coefficient row per occupation on top. With previous-occupation
-one-hot features and no regularization, the maximum-likelihood solution
-reproduces normalized empirical transition frequencies.
+softmaxes one coefficient row per occupation on top (its loss is
+:func:`autograd.cross_entropy` plus L2). With previous-occupation one-hot
+features and no regularization, the maximum-likelihood solution reproduces
+normalized empirical transition frequencies.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..autograd import softmax_np
+from ..autograd import cross_entropy, softmax_np
 from ..corpus import EDUCATIONS, ETHNICITIES, GENDERS, REGIONS, CareerHistory
 from ..taxonomy import OccupationTaxonomy
 from .checkpoint import config_of, load_checkpoint, save_checkpoint
@@ -138,16 +139,9 @@ class MnlModel:
         x, y = batch
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite features")
-        logits = x @ self.weights
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        n = x.shape[0]
-        nll = -np.log(p[np.arange(n), y]).mean()
-        loss = nll + 0.5 * self.reg * float((self.weights**2).sum())
-        delta = p
-        delta[np.arange(n), y] -= 1.0
-        grad = x.T @ delta / n + self.reg * self.weights
+        lp, g_logits = cross_entropy(x @ self.weights, y)
+        loss = -lp.mean() + 0.5 * self.reg * float((self.weights**2).sum())
+        grad = x.T @ g_logits / -x.shape[0] + self.reg * self.weights
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError("non-finite gradient in MNL fit")
         return float(loss), {"weights": grad}

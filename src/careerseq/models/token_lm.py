@@ -15,9 +15,10 @@ a shared prompt runs once and its continuations run against the cache (the
 key/value cache of Pope et al., arXiv:2211.05102). A batch-1 prefix is
 shared by every row of the new tokens, which take the positions after it;
 the attention op reads the prefix length from the key shapes.
-Training never passes ``past``. ``batched_log_probs`` scores titles this
-way; ``next_token_distribution`` and ``sequence_log_probs`` run the whole
-sequence and stay the uncached references.
+Training never passes ``past``; its loss, validation included, is
+:func:`autograd.lm_head_nll`, which projects only real target positions.
+``batched_log_probs`` scores titles with the cache; ``next_token_distribution``
+and ``sequence_log_probs`` run the whole sequence (the uncached references).
 """
 
 from __future__ import annotations
@@ -245,10 +246,8 @@ class TokenLM:
     def _loss_graph(self, batch: dict, train: bool) -> tuple[ag.Tensor, dict[str, ag.Tensor]]:
         ids: np.ndarray = batch["ids"]  # (B, T), already padded
         mask: np.ndarray = batch["mask"]  # (B, T-1) marks real next-token targets
-        logits, _, leaves, _ = self.forward(ids, train=train)
-        picked = ag.log_softmax_at(logits, ids[:, 1:])
-        loss = ag.mul(ag.tsum(ag.mul(picked, mask)), -1.0 / mask.sum())
-        return loss, leaves
+        final, leaves, _ = self._trunk(ids, train=train)
+        return ag.lm_head_nll(final, leaves["w_out"], ids[:, 1:], mask), leaves
 
 
 def collate_token_batch(token_lists: list[list[int]], pad_id: int) -> dict:

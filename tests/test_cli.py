@@ -6,9 +6,9 @@ import pytest
 
 from careerseq.cli import main
 from careerseq.corpus import load_jsonl
-from careerseq.evaluation import read_metrics_csv
+from careerseq.evaluation import perplexity, read_metrics_csv, score_model
 from careerseq.experiments import write_experiment_output
-from careerseq.models import CareerModel, CheckpointError, config_hash, load_checkpoint, load_token_lm
+from careerseq.models import CareerModel, CheckpointError, EmpiricalModel, config_hash, load_checkpoint, load_token_lm
 from careerseq.taxonomy import OccupationTaxonomy, build_default_taxonomy
 
 SUBCOMMANDS = ["gen-data", "split", "render", "parse", "train", "eval", "experiment", "report"]
@@ -175,7 +175,7 @@ class TestTrainEval:
         metrics = {(r["model"], r["metric"], r["filter"]) for r in rows}
         assert ("model_a", "perplexity", "all") in metrics
         assert ("model_a", "auc_move", "non-first") in metrics
-        assert ("model_b-minus-model_a", "perplexity_improvement", "all") in metrics
+        assert ("model_b-minus-model_a", "perplexity_difference", "all") in metrics
         assert (out / "calibration_model_a.csv").exists()
         # the oracle should not lose to the empirical baseline
         ppl = {r["model"]: float(r["value"]) for r in rows if r["metric"] == "perplexity" and r["filter"] == "all"}
@@ -285,6 +285,25 @@ class TestTrainEval:
                                if r["metric"] == "perplexity" and r["filter"] == "all"}
         assert ppl[0]["model_a"] == ppl[1]["model_a"]  # the oracle is untouched
         assert ppl[0]["model_b"] != ppl[1]["model_b"]
+
+    def test_manifest_normalized_kept_without_the_flag(self, pipeline):
+        d = pipeline
+        taxonomy = OccupationTaxonomy.load_csv(d["tax"])
+        ds = load_jsonl(d["split"], taxonomy)
+        ckpt = d["dir"] / "emp-normalized"
+        EmpiricalModel(taxonomy, normalized=True).fit(ds.split("train")).save(ckpt)
+        out = d["dir"] / "eval"
+        assert main(["eval", "--data", str(d["split"]), "--taxonomy", str(d["tax"]), "--model-a", str(ckpt),
+                     "--out", str(out), "--bootstrap", "5", "--seed", "4"]) == 0
+        rows, _ = read_metrics_csv(out / "metrics.csv")
+        got = next(float(r["value"]) for r in rows
+                   if (r["model"], r["metric"], r["filter"]) == ("model_a", "perplexity", "all"))
+        test = ds.split("test")
+        normalized = EmpiricalModel.load(ckpt, taxonomy)
+        assert normalized.normalized
+        assert got == pytest.approx(perplexity(score_model(normalized, test, taxonomy)), rel=1e-12)
+        normalized.normalized = False
+        assert got != pytest.approx(perplexity(score_model(normalized, test, taxonomy)), rel=1e-3)
 
     def test_normalized_without_an_empirical_model_exits_two(self, pipeline, capsys):
         d = pipeline

@@ -289,7 +289,7 @@ class TestTrainSetBootstrap:
         def trainer(histories, seed):
             return EmpiricalModel(tax).fit(histories)
 
-        cfg = BootstrapConfig(b=12, seed=3, level="train_set")
+        cfg = BootstrapConfig(b=12, seed=3)
         res = train_set_bootstrap(trainer, ds.split("train"), ds.split("test"), tax, perplexity, cfg)
         assert len(res.values) == 12
         assert res.n_failed == 0
