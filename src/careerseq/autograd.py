@@ -1,12 +1,13 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Just enough machinery for the models in this package: broadcasting binary
-ops, batched matmul, gathers for embeddings, stable softmax family, layer
-norm, and a few pointwise nonlinearities. ``causal_attention`` is the
-attention of both transformers in one node. ``cross_entropy`` is the one
-softmax cross-entropy of every trained head (token LM, career, MNL): the
-log-probabilities at integer targets and their gradient, one-hot minus
-softmax; ``lm_head_nll`` is the token LM's loss node around it.
+ops, batched matmul, ``embed_sum`` (a model's input embedding, every lookup
+and their sum, in one node), stable softmax family, layer norm, and a few
+pointwise nonlinearities. ``causal_attention`` is the attention of both
+transformers in one node. ``cross_entropy`` is the one softmax cross-entropy
+of every trained head (token LM, career, MNL): the log-probabilities at
+integer targets and their gradient, one-hot minus softmax; ``lm_head_nll``
+is the token LM's loss node around it.
 
 A graph computes in the dtype of its leaves: :func:`leaves` hands training
 the stored (float32) parameters and scoring float64 copies. A tensor keeps
@@ -159,18 +160,22 @@ def matmul(a, b) -> Tensor:
     return _node(out_data, (a, b), backward)
 
 
-def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Embedding lookup: rows of ``table`` selected by an integer array."""
-    indices = np.asarray(indices)
-    out_data = table.data[indices]
+def embed_sum(lookups: Sequence[tuple[Tensor, np.ndarray]]) -> Tensor:
+    """Sum of ``table.data[indices]`` over ``(table, indices)`` pairs, added in
+    order with broadcasting, in one node; a table's gradient scatters onto its rows."""
+    lookups = [(table, np.asarray(indices)) for table, indices in lookups]
+    out_data = lookups[0][0].data[lookups[0][1]]
+    for table, indices in lookups[1:]:
+        out_data = out_data + table.data[indices]
 
     def backward(grad):
-        if table.requires_grad:
-            g = np.zeros_like(table.data)
-            np.add.at(g, indices, grad)
-            table._accumulate(g)
+        for table, indices in lookups:
+            if table.requires_grad:
+                g = np.zeros_like(table.data)
+                np.add.at(g, indices, _unbroadcast(grad, indices.shape + table.data.shape[1:]))
+                table._accumulate(g)
 
-    return _node(out_data, (table,), backward)
+    return _node(out_data, [table for table, _ in lookups], backward)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -57,6 +57,17 @@ REGIONS = list(Region)
 EDUCATIONS = list(Education)
 
 BIRTH_YEAR_WINDOW = (1900, 2010)
+_YEAR_BUCKET_SPAN = 5
+
+
+def n_year_buckets(year_range: tuple[int, int]) -> int:
+    """Number of five-year buckets covering ``year_range``."""
+    return max(1, -(-(year_range[1] - year_range[0]) // _YEAR_BUCKET_SPAN))
+
+
+def year_bucket(years, year_range: tuple[int, int]):
+    """Bucket of ``years`` (an int or an integer array), clipped to ``year_range``'s."""
+    return np.minimum(np.maximum((np.asarray(years) - year_range[0]) // _YEAR_BUCKET_SPAN, 0), n_year_buckets(year_range) - 1)
 
 
 @dataclass(frozen=True)

@@ -379,16 +379,10 @@ def bootstrap_pair(
         return metric_fn(scores_a.select(rows)), metric_fn(scores_b.select(rows))
 
     pairs = _run_replicates(one, cfg.b, threads)
-    va = np.array([p[0] for p in pairs])
-    vb = np.array([p[1] for p in pairs])
-    return PairedBootstrapResult(
-        point_a=metric_fn(scores_a),
-        point_b=metric_fn(scores_b),
-        diff=metric_fn(scores_a) - metric_fn(scores_b),
-        se_diff=float((va - vb).std(ddof=1)),
-        values_a=va,
-        values_b=vb,
-    )
+    va, vb = (np.array(values) for values in zip(*pairs))
+    point_a, point_b = metric_fn(scores_a), metric_fn(scores_b)
+    return PairedBootstrapResult(point_a=point_a, point_b=point_b, diff=point_a - point_b,
+                                 se_diff=float((va - vb).std(ddof=1)), values_a=va, values_b=vb)
 
 
 @dataclass

@@ -3,9 +3,11 @@
 The first-layer state at transition t sums embeddings of the previous
 occupation (a learned null embedding at t=1), static covariates, dynamic
 covariates (education and calendar-year bucket of the record being
-predicted), and the transition index. Each subsequent layer applies bilinear
-attention over positions t' <= t, a residual add, and a two-layer GELU
-feed-forward that produces the next layer's state.
+predicted), and the transition index, in one :func:`autograd.embed_sum`
+node, over the index arrays that ``encode`` makes once per history and
+``stack`` pads into a batch. Each subsequent layer applies bilinear attention
+over positions t' <= t, a residual add, and a two-layer GELU feed-forward
+that produces the next layer's state.
 
 The head first gates stay vs move with a logistic score, then softmaxes
 movers over every occupation except the previous one; the previous
@@ -27,11 +29,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import autograd as ag
-from ..corpus import EDUCATIONS, ETHNICITIES, GENDERS, REGIONS, CareerHistory
+from ..corpus import EDUCATIONS, ETHNICITIES, GENDERS, REGIONS, CareerHistory, n_year_buckets, year_bucket
 from ..taxonomy import OccupationTaxonomy
 from .checkpoint import config_of, load_checkpoint, save_checkpoint
 
-_YEAR_BUCKET_SPAN = 5
 _NEG = -1e30
 
 
@@ -73,8 +74,6 @@ class CareerModel:
         k = c.taxonomy_size
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCA4EE4]))
         s = c.init_scale
-        n_buckets = max(1, -(-(c.year_range[1] - c.year_range[0]) // _YEAR_BUCKET_SPAN))
-        self._n_year_buckets = n_buckets
 
         def normal(*shape, scale=s):
             return rng.normal(0.0, scale, size=shape).astype(dtype)
@@ -85,7 +84,7 @@ class CareerModel:
             "eth_emb": normal(len(ETHNICITIES), c.d_model),
             "region_emb": normal(len(REGIONS), c.d_model),
             "edu_emb": normal(len(EDUCATIONS), c.d_model),
-            "year_emb": normal(n_buckets, c.d_model),
+            "year_emb": normal(n_year_buckets(c.year_range), c.d_model),
             "time_emb": normal(c.max_positions, c.d_model),
             "eta": np.zeros(c.d_model, dtype=dtype),
             "beta": normal(k, c.d_model, scale=0.02),
@@ -115,50 +114,44 @@ class CareerModel:
     def null_index(self) -> int:
         return self.config.taxonomy_size
 
-    def year_bucket(self, year: int) -> int:
-        b = (year - self.config.year_range[0]) // _YEAR_BUCKET_SPAN
-        return int(np.clip(b, 0, self._n_year_buckets - 1))
-
     # ------------------------------------------------------------- batching
+
+    def encode(self, history: CareerHistory) -> dict:
+        """Index arrays of one history: per transition the previous occupation
+        (null at t = 1), target, education and year bucket; its static covariates."""
+        recs = history.records
+        target = np.array([self.taxonomy.index_of(r.occupation) for r in recs], dtype=np.int64)
+        static = history.static
+        return {
+            "prev": np.append(self.null_index, target[:-1]),
+            "target": target,
+            "edu": np.array([EDUCATIONS.index(r.education) for r in recs], dtype=np.int64),
+            "year_bucket": year_bucket(np.array([r.year for r in recs], dtype=np.int64), self.config.year_range),
+            "gender": GENDERS.index(static.gender),
+            "ethnicity": ETHNICITIES.index(static.ethnicity),
+            "region": REGIONS.index(static.region),
+        }
+
+    def stack(self, encoded: Sequence[dict]) -> dict:
+        """Pad encoded histories to the longest and stack them into the batch
+        of the forward pass; ``valid`` marks the real transitions."""
+        lengths = np.array([e["target"].size for e in encoded])
+        t_max = int(lengths.max())
+        if t_max > self.config.max_positions:
+            raise ValueError(f"history length {t_max} exceeds positional table {self.config.max_positions}")
+        real = np.arange(t_max) < lengths[:, None]
+        batch = {}
+        for key, pad in (("prev", self.null_index), ("target", 0), ("edu", 0), ("year_bucket", 0)):
+            batch[key] = np.full(real.shape, pad, dtype=np.int64)
+            batch[key][real] = np.concatenate([e[key] for e in encoded])
+        batch["valid"] = real.astype(np.float64)
+        for key in ("gender", "ethnicity", "region"):
+            batch[key] = np.array([e[key] for e in encoded], dtype=np.int64)
+        return batch
 
     def build_batch(self, histories: Sequence[CareerHistory]) -> dict:
         """Pack histories into padded index arrays for the forward pass."""
-        b = len(histories)
-        t_max = max(len(h) for h in histories)
-        if t_max > self.config.max_positions:
-            raise ValueError(
-                f"history length {t_max} exceeds positional table {self.config.max_positions}"
-            )
-        idx = self.taxonomy.index_of
-        prev = np.full((b, t_max), self.null_index, dtype=np.int64)
-        target = np.zeros((b, t_max), dtype=np.int64)
-        edu = np.zeros((b, t_max), dtype=np.int64)
-        year = np.zeros((b, t_max), dtype=np.int64)
-        valid = np.zeros((b, t_max))
-        gender = np.zeros(b, dtype=np.int64)
-        eth = np.zeros(b, dtype=np.int64)
-        region = np.zeros(b, dtype=np.int64)
-        for i, h in enumerate(histories):
-            gender[i] = GENDERS.index(h.static.gender)
-            eth[i] = ETHNICITIES.index(h.static.ethnicity)
-            region[i] = REGIONS.index(h.static.region)
-            for j, rec in enumerate(h.records):
-                if j > 0:
-                    prev[i, j] = idx(h.records[j - 1].occupation)
-                target[i, j] = idx(rec.occupation)
-                edu[i, j] = EDUCATIONS.index(rec.education)
-                year[i, j] = self.year_bucket(rec.year)
-                valid[i, j] = 1.0
-        return {
-            "prev": prev,
-            "target": target,
-            "edu": edu,
-            "year_bucket": year,
-            "valid": valid,
-            "gender": gender,
-            "ethnicity": eth,
-            "region": region,
-        }
+        return self.stack([self.encode(h) for h in histories])
 
     # -------------------------------------------------------------- forward
 
@@ -167,13 +160,11 @@ class CareerModel:
         prev = batch["prev"]
         b, t = prev.shape
         leaves = ag.leaves(self.params, train)
-        x = ag.gather_rows(leaves["occ_emb"], prev)
-        x = ag.add(x, ag.gather_rows(leaves["gender_emb"], batch["gender"][:, None]))
-        x = ag.add(x, ag.gather_rows(leaves["eth_emb"], batch["ethnicity"][:, None]))
-        x = ag.add(x, ag.gather_rows(leaves["region_emb"], batch["region"][:, None]))
-        x = ag.add(x, ag.gather_rows(leaves["edu_emb"], batch["edu"]))
-        x = ag.add(x, ag.gather_rows(leaves["year_emb"], batch["year_bucket"]))
-        x = ag.add(x, ag.gather_rows(leaves["time_emb"], np.arange(t)))
+        x = ag.embed_sum([
+            (leaves["occ_emb"], prev), (leaves["gender_emb"], batch["gender"][:, None]),
+            (leaves["eth_emb"], batch["ethnicity"][:, None]), (leaves["region_emb"], batch["region"][:, None]),
+            (leaves["edu_emb"], batch["edu"]), (leaves["year_emb"], batch["year_bucket"]), (leaves["time_emb"], np.arange(t)),
+        ])
         h = c.d_model // c.n_heads
         for i in range(c.n_layers):
             hh = ag.transpose(ag.reshape(x, (b, t, c.n_heads, h)), (0, 2, 1, 3))

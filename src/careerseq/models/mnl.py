@@ -152,6 +152,8 @@ class MnlModel:
     def fit(self, histories: Sequence[CareerHistory], cfg: MnlFitConfig = MnlFitConfig()) -> "MnlModel":
         from ..training import AdamState  # local import to avoid a cycle
 
+        if not histories:
+            raise ValueError("empty training split")
         x, y = self.design_matrix(histories)
         adam = AdamState(like=self.params)
         for step in range(1, cfg.max_iters + 1):

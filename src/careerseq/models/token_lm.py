@@ -1,13 +1,13 @@
 """Decoder-only transformer language model over the byte-merge vocabulary.
 
 Pre-norm blocks (causal multi-head attention through
-:func:`autograd.causal_attention`, then a GELU feed-forward), learned
-positional embeddings, and a zero-initialized output projection so a
-fresh model predicts the uniform distribution. Parameters are stored in
-float32 (the checkpoint tensor format). Training computes in the model's
-``dtype``; scoring, validation loss included, runs in float64, so a score is
-a deterministic function of the stored parameters and save/load/score
-round-trips bit-exactly.
+:func:`autograd.causal_attention`, then a GELU feed-forward), token and
+learned positional embeddings summed in one :func:`autograd.embed_sum` node,
+and a zero-initialized output projection so a fresh model predicts the
+uniform distribution. Parameters are stored in float32 (the checkpoint tensor
+format). Training computes in the model's ``dtype``; scoring, validation loss
+included, runs in float64, so a score is a deterministic function of the
+stored parameters and save/load/score round-trips bit-exactly.
 
 ``forward`` also takes the per-layer keys and values of a prefix it has
 already run (``past``) and returns the keys and values it attended over, so
@@ -130,7 +130,7 @@ class TokenLM:
         if past is not None and train:
             raise ValueError("a cached prefix is for inference only")
         leaves = ag.leaves(self.params, train)
-        x = ag.add(ag.gather_rows(leaves["tok_emb"], ids), ag.gather_rows(leaves["pos_emb"], np.arange(p, p + t)))
+        x = ag.embed_sum([(leaves["tok_emb"], ids), (leaves["pos_emb"], np.arange(p, p + t))])
         h = c.d_model // c.n_heads
         present = []
         for i in range(c.n_layers):

@@ -35,6 +35,8 @@ from .corpus import (
     CareerRecord,
     Dataset,
     StaticCovariates,
+    n_year_buckets,
+    year_bucket,
 )
 from .taxonomy import OccupationTaxonomy, build_default_taxonomy
 
@@ -44,7 +46,6 @@ _EDUCATION_START_PROBS = np.array([0.12, 0.35, 0.25, 0.20, 0.08])
 _EDUCATION_UPGRADE_PROB = 0.06
 
 _STAY_BONUS_CLIP = 30.0
-_YEAR_BUCKET_SPAN = 5
 
 
 class SyntheticConfigError(ValueError):
@@ -133,10 +134,6 @@ class GeneratorParams:
     def null_index(self) -> int:
         return self.k
 
-    def year_bucket(self, year: int) -> int:
-        b = (year - self.cfg.year_range[0]) // _YEAR_BUCKET_SPAN
-        return int(np.clip(b, 0, self.year_logits.shape[0] - 1))
-
     def covariate_logits(self, static: StaticCovariates) -> np.ndarray:
         cfg = self.cfg
         g = GENDERS.index(static.gender)
@@ -149,7 +146,7 @@ class GeneratorParams:
         return cfg.covariate_effect_strength * out
 
     def context_logits(self, static: StaticCovariates, year: int) -> np.ndarray:
-        return self.covariate_logits(static) + self.cfg.year_weight * self.year_logits[self.year_bucket(year)]
+        return self.covariate_logits(static) + self.cfg.year_weight * self.year_logits[year_bucket(year, self.cfg.year_range)]
 
     def initial_distribution(self, static: StaticCovariates, year: int) -> np.ndarray:
         return softmax_np(self.init_logits + self.context_logits(static, year))
@@ -211,8 +208,6 @@ def build_params(cfg: SyntheticConfig) -> GeneratorParams:
     cfg.validate()
     k = cfg.taxonomy_size
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xC0FFEE]))
-    n_years = cfg.year_range[1] - cfg.year_range[0]
-    n_buckets = max(1, -(-n_years // _YEAR_BUCKET_SPAN))
     init = rng.normal(0.0, 1.0, size=k)
     trans = rng.normal(0.0, cfg.transition_scale, size=(k, k))
     pair = np.zeros((k + 1, k))
@@ -222,7 +217,7 @@ def build_params(cfg: SyntheticConfig) -> GeneratorParams:
     ethnicity = rng.normal(0.0, 1.0, size=(len(ETHNICITIES), k))
     region = rng.normal(0.0, 1.0, size=(len(REGIONS), k))
     interaction = rng.normal(0.0, 1.0, size=(len(GENDERS) * len(ETHNICITIES), k))
-    year = rng.normal(0.0, 1.0, size=(n_buckets, k))
+    year = rng.normal(0.0, 1.0, size=(n_year_buckets(cfg.year_range), k))
     return GeneratorParams(
         cfg=cfg,
         init_logits=init,

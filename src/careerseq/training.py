@@ -263,14 +263,16 @@ def train_career(
 ) -> TrainReport:
     """Two-phase training: optional pre-training on a large split with the
     warmup schedule, then fine-tuning with per-epoch validation, patience
-    early stopping, and best-checkpoint restoration."""
+    early stopping, and best-checkpoint restoration. Histories are encoded once."""
+    if not train or not valid:
+        raise ValueError("training and validation splits must be non-empty")
     if pretrain:
         pcfg = pretrain_cfg or OptimizerConfig(
             lr_schedule=PRETRAIN_SCHEDULE, max_epochs=3, weight_decay=0.01, seed=cfg.seed
         )
-        _fit(model, list(pretrain), model.build_batch, pcfg)
+        _fit(model, [model.encode(h) for h in pretrain], model.stack, pcfg)
     valid_loss = partial(evaluate_career_loss, model, valid, cfg.batch_sequences)
-    return _fit(model, list(train), model.build_batch, cfg, valid_loss)[0]
+    return _fit(model, [model.encode(h) for h in train], model.stack, cfg, valid_loss)[0]
 
 
 def evaluate_career_loss(model: CareerModel, histories: Sequence[CareerHistory], batch_sequences: int) -> float:

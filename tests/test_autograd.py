@@ -300,3 +300,55 @@ def test_attention_with_keys_as_values():
     assert np.array_equal(got[0], want[0])
     for g, w in zip(got[2], want[2]):
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+
+
+def _gather(table: ag.Tensor, indices: np.ndarray) -> ag.Tensor:
+    """One embedding lookup as its own node, as both models built their
+    inputs before ``embed_sum``."""
+    def backward(grad):
+        g = np.zeros_like(table.data)
+        np.add.at(g, indices, grad)
+        table._accumulate(g)
+
+    return ag._node(table.data[indices], (table,), backward)
+
+
+def _embed_grads(embed, tables, indices, trainable, weights):
+    leaves = [ag.Tensor(t, requires_grad=r) for t, r in zip(tables, trainable)]
+    out = embed(list(zip(leaves, indices)))
+    ag.tsum(ag.mul(out, weights)).backward()
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+def _gather_add_chain(lookups):
+    out = _gather(*lookups[0])
+    for table, idx in lookups[1:]:
+        out = ag.add(out, _gather(table, idx))
+    return out
+
+
+@pytest.mark.parametrize("trainable", [(True, True, True, True), (True, False, True, False)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embed_sum_matches_gather_add_chain(dtype, trainable):
+    # the career model's shapes: (b, t), (b, 1) static covariates and the (t,)
+    # time axis, with indices repeated within and across rows
+    rng = np.random.default_rng(9)
+    b, t, d = 4, 6, 5
+    tables = [rng.normal(size=(n, d)).astype(dtype) for n in (7, 3, 4, t)]
+    indices = [rng.integers(0, 7, size=(b, t)), np.array([[0], [2], [0], [2]]), rng.integers(0, 4, size=(b, t)), np.arange(t)]
+    weights = rng.normal(size=(b, t, d)).astype(dtype)
+    got = _embed_grads(ag.embed_sum, tables, indices, trainable, weights)
+    want = _embed_grads(_gather_add_chain, tables, indices, trainable, weights)
+    assert got[0].dtype == dtype and np.array_equal(got[0], want[0])
+    for g, w, r in zip(got[1], want[1], trainable):
+        assert (g is None) == (not r) and (w is None) == (not r)
+        if r:
+            assert g.dtype == dtype and np.array_equal(g, w)
+
+
+def test_embed_sum_without_trainable_tables_builds_no_backward():
+    rng = np.random.default_rng(10)
+    tables = [ag.Tensor(rng.normal(size=(5, 3))), ag.Tensor(rng.normal(size=(4, 3)))]
+    out = ag.embed_sum([(tables[0], np.array([[1, 1, 4]])), (tables[1], np.arange(3))])
+    assert not out.requires_grad and out._backward is None
+    assert np.array_equal(out.data, tables[0].data[[[1, 1, 4]]] + tables[1].data[:3])

@@ -254,6 +254,22 @@ class TestTrainEval:
         assert f"{named} does not apply to train {model}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model, ratios, message", [
+        ("career", "0.9,0,0.1", "training and validation splits must be non-empty"),
+        ("career", "0,0.5,0.5", "training and validation splits must be non-empty"),
+        ("mnl", "0,0.5,0.5", "empty training split"),
+    ])
+    def test_empty_split_exits_two(self, pipeline, model, ratios, message, capsys):
+        d = pipeline
+        split = d["dir"] / "empty.jsonl"
+        assert main(["split", "--in", str(d["data"]), "--taxonomy", str(d["tax"]), "--out", str(split),
+                     "--ratios", ratios, "--seed", "3"]) == 0
+        out = d["dir"] / "empty"
+        assert main(["train", model, "--data", str(split), "--taxonomy", str(d["tax"]), "--out", str(out),
+                     "--seed", "1", "--epochs", "1"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_career_positions_cover_longer_pretraining_histories(self, pipeline):
         d = pipeline
         pre = d["dir"] / "pre.jsonl"

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from careerseq import autograd as ag
 from careerseq.autograd import softmax_np
-from careerseq.corpus import CareerRecord, Education
+from careerseq.corpus import CareerRecord, Education, Ethnicity, Gender, Region, year_bucket
 from careerseq.models import (
     CareerConfig,
     CareerModel,
@@ -215,7 +219,7 @@ class TestCareerModel:
             + p["eth_emb"][["white", "black_or_african_american", "hispanic_or_latino", "other_or_unknown"].index(h.static.ethnicity.value)]
             + p["region_emb"][["northeast", "northcentral", "south", "west"].index(h.static.region.value)]
             + p["edu_emb"][list(Education).index(rec.education)]
-            + p["year_emb"][model.year_bucket(rec.year)]
+            + p["year_emb"][year_bucket(rec.year, model.config.year_range)]
             + p["time_emb"][0]
         )
         assert np.allclose(state, expected, atol=1e-12)
@@ -331,6 +335,73 @@ class TestCareerModel:
         again = CareerModel.load(tmp_path / "career", ds.taxonomy)
         h = ds.individuals[0]
         assert np.array_equal(again.predict(h, 1), model.predict(h, 1))
+
+
+def _per_record_batch(model, histories):
+    """The career batch as it was built before ``encode`` and ``stack``: one
+    Python step per record."""
+    b, t_max = len(histories), max(len(h) for h in histories)
+    lo, hi = model.config.year_range
+    n_buckets = max(1, -(-(hi - lo) // 5))
+    prev = np.full((b, t_max), model.null_index, dtype=np.int64)
+    target, edu, year = (np.zeros((b, t_max), dtype=np.int64) for _ in range(3))
+    valid = np.zeros((b, t_max))
+    gender, eth, region = (np.zeros(b, dtype=np.int64) for _ in range(3))
+    for i, h in enumerate(histories):
+        gender[i] = list(Gender).index(h.static.gender)
+        eth[i] = list(Ethnicity).index(h.static.ethnicity)
+        region[i] = list(Region).index(h.static.region)
+        for j, rec in enumerate(h.records):
+            if j > 0:
+                prev[i, j] = model.taxonomy.index_of(h.records[j - 1].occupation)
+            target[i, j] = model.taxonomy.index_of(rec.occupation)
+            edu[i, j] = list(Education).index(rec.education)
+            year[i, j] = int(np.clip((rec.year - lo) // 5, 0, n_buckets - 1))
+            valid[i, j] = 1.0
+    return {"prev": prev, "target": target, "edu": edu, "year_bucket": year, "valid": valid,
+            "gender": gender, "ethnicity": eth, "region": region}
+
+
+class TestCareerEncoding:
+    @pytest.fixture(scope="class")
+    def model(self, world):
+        cfg, ds = world
+        config = CareerConfig(taxonomy_size=ds.taxonomy.size, d_model=8, n_layers=1, n_heads=2, d_ff=16,
+                              max_positions=max(len(h) for h in ds.individuals), year_range=cfg.year_range)
+        return CareerModel(config, ds.taxonomy, seed=0)
+
+    def assert_stack_matches(self, model, histories):
+        got = model.stack([model.encode(h) for h in histories])
+        want = _per_record_batch(model, histories)
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key].dtype == want[key].dtype and np.array_equal(got[key], want[key]), key
+
+    def test_length_one_histories(self, model, world):
+        _, ds = world
+        self.assert_stack_matches(model, [replace(h, records=h.records[:1]) for h in ds.individuals[:5]])
+
+    def test_history_at_max_positions(self, model, world):
+        _, ds = world
+        longest = max(ds.individuals, key=len)
+        assert len(longest) == model.config.max_positions
+        self.assert_stack_matches(model, [longest])
+        self.assert_stack_matches(model, [ds.individuals[0], longest, replace(longest, records=longest.records[:1])])
+
+    def test_years_outside_the_range_clip(self, model, world):
+        cfg, ds = world
+        h = ds.individuals[0]
+        lo, hi = cfg.year_range
+        years = [lo - 7] + [hi + 9 + j for j in range(len(h) - 1)]
+        shifted = replace(h, records=tuple(replace(r, year=y) for r, y in zip(h.records, years)))
+        self.assert_stack_matches(model, [shifted, h])
+
+    @settings(max_examples=40, deadline=None)
+    @given(picks=st.lists(st.tuples(st.integers(0, 23), st.integers(1, 40)), min_size=1, max_size=16))
+    def test_mixed_lengths(self, model, world, picks):
+        _, ds = world
+        histories = [ds.individuals[i] for i, _ in picks]
+        self.assert_stack_matches(model, [replace(h, records=h.records[:n]) for h, (_, n) in zip(histories, picks)])
 
 
 def _train_case(kind: str, world, dtype):
