@@ -11,11 +11,15 @@ CAREERSEQ_SEED is honored only when --seed is absent.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import os
 import sys
 import time
 from pathlib import Path
+
+from numpy._core import _multiarray_umath
 
 from . import evaluation as ev
 from . import experiments as ex
@@ -52,6 +56,38 @@ class CliError(ValueError):
     pass
 
 
+def _blas_thread_calls():
+    """The get/set thread-count calls of the OpenBLAS that NumPy links, or None."""
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get, put = getattr(lib, name.format("get"), None), getattr(lib, name.format("set"), None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+_BLAS_THREAD_CALLS = _blas_thread_calls()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one BLAS thread, so that large matrix products sum in
+    one order whatever count the environment sets; then restore the count,
+    so library callers in the same process are unaffected."""
+    if _BLAS_THREAD_CALLS is None:
+        yield
+        return
+    get, put = _BLAS_THREAD_CALLS
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
 
@@ -67,9 +103,10 @@ def main(argv) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
     try:
-        _apply_config_file(args, argv, parser)
-        args.seed = _resolve_seed(args)
-        args.func(args)
+        with _one_blas_thread():
+            _apply_config_file(args, argv, parser)
+            args.seed = _resolve_seed(args)
+            args.func(args)
         return EXIT_OK
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

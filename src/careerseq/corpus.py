@@ -207,11 +207,6 @@ class SummaryStats:
     type_counts: dict[str, int]
     top_occupations: list[tuple[str, float, int]]  # (title, share, rank)
 
-    @property
-    def type_shares(self) -> dict[str, float]:
-        total = max(self.n_transitions, 1)
-        return {k: v / total for k, v in self.type_counts.items()}
-
 
 def summarize(ds: Dataset, individuals: Optional[Iterable[CareerHistory]] = None, top_n: int = 10) -> SummaryStats:
     """Counts of individuals and transitions, transition-type shares, and a

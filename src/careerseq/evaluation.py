@@ -15,8 +15,7 @@ replicate index sets.
 from __future__ import annotations
 
 import csv
-import warnings
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -43,8 +42,6 @@ class TransitionScores:
     ttype: np.ndarray  # object array: first | move | stay
     logp_true: np.ndarray
     p_stay: np.ndarray  # NaN at first observations
-    weight: np.ndarray
-    subgroups: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.logp_true)):
@@ -60,26 +57,7 @@ class TransitionScores:
             ttype=self.ttype[mask],
             logp_true=self.logp_true[mask],
             p_stay=self.p_stay[mask],
-            weight=self.weight[mask],
-            subgroups={k: v[mask] for k, v in self.subgroups.items()},
         )
-
-    def mask(
-        self,
-        ttype: Optional[str] = None,
-        subgroup: Optional[tuple[str, object]] = None,
-        t_range: Optional[tuple[int, int]] = None,
-    ) -> np.ndarray:
-        m = np.ones(len(self), dtype=bool)
-        if ttype is not None:
-            m &= self.ttype == ttype
-        if subgroup is not None:
-            key, value = subgroup
-            m &= self.subgroups[key] == value
-        if t_range is not None:
-            lo, hi = t_range
-            m &= (self.t_index > lo) & (self.t_index <= hi)
-        return m
 
 
 def score_model(
@@ -132,22 +110,14 @@ def _score_distributions(
 def transition_scores(
     items: Sequence[tuple[CareerHistory, int]], logp: np.ndarray, p_stay: np.ndarray
 ) -> TransitionScores:
-    """Rows for scored (history, t) pairs: ids, transition types and
-    subgroup columns come from the items, scores from ``logp``/``p_stay``."""
+    """Rows for scored (history, t) pairs: ids and transition types come
+    from the items, scores from ``logp``/``p_stay``."""
     return TransitionScores(
         individual_ids=np.array([h.individual_id for h, _ in items], dtype=object),
         t_index=np.array([t for _, t in items], dtype=np.int64),
         ttype=np.array([transition_type(h, t) for h, t in items], dtype=object),
         logp_true=logp,
         p_stay=p_stay,
-        weight=np.ones(len(items)),
-        subgroups={
-            "education": np.array([h.records[t - 1].education.value for h, t in items], dtype=object),
-            "gender": np.array([h.static.gender.value for h, t in items], dtype=object),
-            "ethnicity": np.array([h.static.ethnicity.value for h, t in items], dtype=object),
-            "region": np.array([h.static.region.value for h, t in items], dtype=object),
-            "year": np.array([h.records[t - 1].year for h, t in items], dtype=np.int64),
-        },
     )
 
 
@@ -156,35 +126,31 @@ def transition_scores(
 # --------------------------------------------------------------------------
 
 
-def perplexity(scores: TransitionScores, where: Optional[np.ndarray] = None) -> float:
-    """exp of the weighted mean negative log-likelihood."""
-    s = scores if where is None else scores.select(where)
-    if len(s) == 0:
+def perplexity(scores: TransitionScores) -> float:
+    """exp of the mean negative log-likelihood."""
+    if len(scores) == 0:
         raise EvalError("no transitions selected")
-    return float(np.exp(-(s.weight * s.logp_true).sum() / s.weight.sum()))
+    return float(np.exp(-scores.logp_true.sum() / len(scores)))
 
 
 @dataclass
 class MoverPerplexity:
     value: float
-    n_used: int
     n_excluded: int  # mover transitions where the stay score was exactly 1
 
 
 def mover_perplexity(scores: TransitionScores) -> MoverPerplexity:
     """Perplexity over moves, conditioning each prediction on moving:
     P(y | move) = P(y) / (1 - P(previous))."""
-    movers = scores.select(scores.mask(ttype=TRANSITION_MOVE))
-    if len(movers) == 0:
+    move = scores.ttype == TRANSITION_MOVE
+    if not move.any():
         raise EvalError("no mover transitions")
-    denom = 1.0 - movers.p_stay
-    bad = denom <= 0.0
-    usable = movers.select(~bad)
-    if len(usable) == 0:
+    p_stay = scores.p_stay[move]
+    bad = 1.0 - p_stay <= 0.0
+    if bad.all():
         raise EvalError("all mover transitions have degenerate stay probability")
-    cond = usable.logp_true - np.log(1.0 - usable.p_stay)
-    value = float(np.exp(-(usable.weight * cond).sum() / usable.weight.sum()))
-    return MoverPerplexity(value=value, n_used=len(usable), n_excluded=int(bad.sum()))
+    cond = scores.logp_true[move][~bad] - np.log(1.0 - p_stay[~bad])
+    return MoverPerplexity(value=float(np.exp(-cond.sum() / len(cond))), n_excluded=int(bad.sum()))
 
 
 def move_auc(scores: TransitionScores) -> float:
@@ -219,24 +185,13 @@ class CalibrationBin:
 class CalibrationReport:
     bins: list[CalibrationBin]
     error: float
-    per_bin_mean: bool
-
-    def recompute_error(self) -> float:
-        terms = []
-        for b in self.bins:
-            gap = b.emp_rate * b.count - b.mean_pred * b.count
-            if self.per_bin_mean:
-                gap /= b.count
-            terms.append(gap**2)
-        return float(np.sqrt(np.mean(terms)))
 
 
-def calibration(scores: TransitionScores, n_bins: int = 10, per_bin_mean: bool = False) -> CalibrationReport:
+def calibration(scores: TransitionScores, n_bins: int = 10) -> CalibrationReport:
     """Decile calibration of P(move) among non-first transitions.
 
     The error statistic squares per-bin sums of (indicator - predicted), as
-    defined for the headline calibration figure; ``per_bin_mean`` divides
-    each gap by the bin count first, giving a size-independent variant.
+    defined for the headline calibration figure.
     Quantile edges that coincide are merged, so degenerate predictors yield
     fewer, larger bins.
     """
@@ -258,10 +213,8 @@ def calibration(scores: TransitionScores, n_bins: int = 10, per_bin_mean: bool =
         emp_rate = float(moved[in_bin].mean())
         bins.append(CalibrationBin(bin=len(bins), mean_pred=mean_pred, emp_rate=emp_rate, count=count))
         gap = moved[in_bin].sum() - pred[in_bin].sum()
-        if per_bin_mean:
-            gap /= count
         terms.append(gap**2)
-    return CalibrationReport(bins=bins, error=float(np.sqrt(np.mean(terms))), per_bin_mean=per_bin_mean)
+    return CalibrationReport(bins=bins, error=float(np.sqrt(np.mean(terms))))
 
 
 # --------------------------------------------------------------------------
@@ -286,15 +239,14 @@ class BootstrapResult:
     values: np.ndarray
 
 
-def _individual_groups(scores: TransitionScores) -> tuple[list[str], list[np.ndarray]]:
-    order: dict[str, int] = {}
-    for i in scores.individual_ids:
-        if i not in order:
-            order[i] = len(order)
-    groups: list[list[int]] = [[] for _ in order]
+def _individual_groups(scores: TransitionScores) -> list[np.ndarray]:
+    """Row indices of each individual, in order of first appearance."""
+    groups: dict[str, list[int]] = {}
     for row, ind in enumerate(scores.individual_ids):
-        groups[order[ind]].append(row)
-    return list(order), [np.asarray(g, dtype=np.int64) for g in groups]
+        groups.setdefault(ind, []).append(row)
+    if len(groups) < 2:
+        raise EvalError("need at least 2 individuals for a bootstrap")
+    return [np.asarray(g, dtype=np.int64) for g in groups.values()]
 
 
 def _replicate_rows(groups: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
@@ -315,9 +267,7 @@ def bootstrap_metric(
 
     Replicate seeds derive from (seed, replicate index), so results are
     identical whether replicates run serially or on a thread pool."""
-    ids, groups = _individual_groups(scores)
-    if len(groups) < 2:
-        raise EvalError("need at least 2 individuals for a bootstrap")
+    groups = _individual_groups(scores)
 
     def one(r: int) -> float:
         rng = np.random.default_rng(derive_seed(cfg.seed, "bootstrap", r))
@@ -369,9 +319,7 @@ def bootstrap_pair(
         scores_a.t_index, scores_b.t_index
     ):
         raise EvalError("paired bootstrap requires both models scored on identical transitions")
-    _, groups = _individual_groups(scores_a)
-    if len(groups) < 2:
-        raise EvalError("need at least 2 individuals for a bootstrap")
+    groups = _individual_groups(scores_a)
 
     def one(r: int) -> tuple[float, float]:
         rng = np.random.default_rng(derive_seed(cfg.seed, "bootstrap", r))
@@ -385,98 +333,9 @@ def bootstrap_pair(
                                  se_diff=float((va - vb).std(ddof=1)), values_a=va, values_b=vb)
 
 
-@dataclass
-class TrainSetBootstrapResult:
-    point: float
-    se: float
-    values: np.ndarray
-    n_failed: int
-
-
-def train_set_bootstrap(
-    trainer: Callable[[list[CareerHistory], int], object],
-    train: Sequence[CareerHistory],
-    test: Sequence[CareerHistory],
-    taxonomy: OccupationTaxonomy,
-    metric_fn: Callable[[TransitionScores], float],
-    cfg: BootstrapConfig = BootstrapConfig(b=12),
-) -> TrainSetBootstrapResult:
-    """Refit the model on individual-resampled training sets and evaluate
-    each refit on the complete, fixed test split. Replicates whose training
-    fails are dropped with a warning."""
-    train = list(train)
-    values = []
-    n_failed = 0
-    for r in range(cfg.b):
-        rng = np.random.default_rng(derive_seed(cfg.seed, "train-bootstrap", r))
-        sample = [train[i] for i in rng.integers(0, len(train), size=len(train))]
-        sample = _dedupe_ids(sample)
-        try:
-            model = trainer(sample, derive_seed(cfg.seed, "train-bootstrap-fit", r))
-            scores = score_model(model, list(test), taxonomy)
-            values.append(metric_fn(scores))
-        except Exception as exc:  # noqa: BLE001 - replicate isolation is the point
-            n_failed += 1
-            warnings.warn(f"training-set bootstrap replicate {r} failed: {exc}")
-    if len(values) < 2:
-        raise EvalError("fewer than 2 successful training-set bootstrap replicates")
-    arr = np.asarray(values)
-    baseline = trainer(train, derive_seed(cfg.seed, "train-bootstrap-fit", "full"))
-    point = metric_fn(score_model(baseline, list(test), taxonomy))
-    return TrainSetBootstrapResult(point=point, se=float(arr.std(ddof=1)), values=arr, n_failed=n_failed)
-
-
-def _dedupe_ids(histories: list[CareerHistory]) -> list[CareerHistory]:
-    """Resampled individuals appear multiple times; give copies unique ids so
-    dataset invariants hold."""
-    seen: dict[str, int] = {}
-    out = []
-    for h in histories:
-        k = seen.get(h.individual_id, 0)
-        seen[h.individual_id] = k + 1
-        out.append(h if k == 0 else dc_replace(h, individual_id=f"{h.individual_id}#dup{k}"))
-    return out
-
-
 # --------------------------------------------------------------------------
-# Model differences and gap-year checks
+# Gap-year checks
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class LoglikDifference:
-    delta: np.ndarray  # log P_a - log P_b per transition
-    mean: float
-    by_subgroup: dict[str, dict[object, float]]
-    quintiles: list[tuple[int, float, int]]  # (quintile, mean delta, count)
-
-
-def loglik_difference(scores_a: TransitionScores, scores_b: TransitionScores, mover_conditional: bool = False) -> LoglikDifference:
-    if not np.array_equal(scores_a.individual_ids, scores_b.individual_ids) or not np.array_equal(
-        scores_a.t_index, scores_b.t_index
-    ):
-        raise EvalError("log-likelihood difference requires aligned transitions")
-    if mover_conditional:
-        keep = (scores_a.ttype == TRANSITION_MOVE) & (1.0 - scores_a.p_stay > 0) & (1.0 - scores_b.p_stay > 0)
-        a = scores_a.select(keep)
-        b = scores_b.select(keep)
-        delta = (a.logp_true - np.log(1 - a.p_stay)) - (b.logp_true - np.log(1 - b.p_stay))
-        base = a
-    else:
-        delta = scores_a.logp_true - scores_b.logp_true
-        base = scores_a
-    by_subgroup: dict[str, dict[object, float]] = {}
-    for key, arr in base.subgroups.items():
-        by_subgroup[key] = {v: float(delta[arr == v].mean()) for v in sorted(set(arr.tolist()), key=str)}
-    order = np.argsort(delta, kind="mergesort")
-    quintiles = []
-    for q in range(5):
-        lo = (len(delta) * q) // 5
-        hi = (len(delta) * (q + 1)) // 5
-        rows = order[lo:hi]
-        if len(rows):
-            quintiles.append((q + 1, float(delta[rows].mean()), len(rows)))
-    return LoglikDifference(delta=delta, mean=float(delta.mean()), by_subgroup=by_subgroup, quintiles=quintiles)
 
 
 def gap_year_compare(model, taxonomy: OccupationTaxonomy, history: CareerHistory, t: int) -> tuple[float, float]:
@@ -519,9 +378,7 @@ CALIBRATION_COLUMNS = ["bin", "mean_pred", "emp_rate", "count"]
 
 def format_cell(value):
     """Output text of a float or NumPy number (``.12g``); other values pass."""
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, (float, np.floating, np.integer)):
         return f"{float(value):.12g}"
     return value
 
@@ -546,11 +403,6 @@ def write_metrics_csv(path, rows: Iterable[dict], provenance: dict) -> None:
     """Rows with METRICS_COLUMNS keys; provenance lands in header comments so
     downstream reporting can refuse mixing incompatible runs."""
     write_stamped_csv(path, METRICS_COLUMNS, rows, provenance)
-
-
-def read_metrics_csv(path) -> tuple[list[dict], dict]:
-    _, rows, provenance = read_stamped_csv(path)
-    return rows, provenance
 
 
 def read_stamped_csv(path) -> tuple[list[str], list[dict], dict]:

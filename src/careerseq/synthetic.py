@@ -19,9 +19,10 @@ occupation-model interface.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -159,36 +160,39 @@ class GeneratorParams:
         return softmax_np(logits, axis=1)
 
     def save(self, path) -> None:
-        np.savez(
-            path,
-            cfg=np.frombuffer(json.dumps(_cfg_to_obj(self.cfg)).encode(), dtype=np.uint8),
-            init_logits=self.init_logits,
-            trans_logits=self.trans_logits,
-            pair_logits=self.pair_logits,
-            gender_logits=self.gender_logits,
-            ethnicity_logits=self.ethnicity_logits,
-            region_logits=self.region_logits,
-            interaction_logits=self.interaction_logits,
-            year_logits=self.year_logits,
-            stay_bonus=np.array(self.stay_bonus),
-        )
+        tables = {name: getattr(self, name) for name in _table_shapes(self.cfg)}
+        cfg = np.frombuffer(json.dumps(_cfg_to_obj(self.cfg)).encode(), dtype=np.uint8)
+        np.savez(path, cfg=cfg, **tables, stay_bonus=np.array(self.stay_bonus))
 
     @classmethod
     def load(cls, path) -> "GeneratorParams":
+        """Read a file written by :meth:`save`; raises ValueError when a
+        table's shape disagrees with the config stored beside it."""
         with np.load(path) as data:
             cfg = _cfg_from_obj(json.loads(bytes(data["cfg"]).decode()))
-            return cls(
-                cfg=cfg,
-                init_logits=data["init_logits"],
-                trans_logits=data["trans_logits"],
-                pair_logits=data["pair_logits"],
-                gender_logits=data["gender_logits"],
-                ethnicity_logits=data["ethnicity_logits"],
-                region_logits=data["region_logits"],
-                interaction_logits=data["interaction_logits"],
-                year_logits=data["year_logits"],
-                stay_bonus=float(data["stay_bonus"]),
-            )
+            shapes = _table_shapes(cfg)
+            tables = {name: data[name] for name in shapes}
+            stay_bonus = float(data["stay_bonus"])
+        for name, shape in shapes.items():
+            got = tables[name].shape
+            if got != shape:
+                raise ValueError(f"generator file {path}: {name} has shape {got}, its config needs {shape}")
+        return cls(cfg=cfg, stay_bonus=stay_bonus, **tables)
+
+
+def _table_shapes(cfg: SyntheticConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of each generator table under ``cfg``, in file order."""
+    k = cfg.taxonomy_size
+    return {
+        "init_logits": (k,),
+        "trans_logits": (k, k),
+        "pair_logits": (k + 1, k),
+        "gender_logits": (len(GENDERS), k),
+        "ethnicity_logits": (len(ETHNICITIES), k),
+        "region_logits": (len(REGIONS), k),
+        "interaction_logits": (len(GENDERS) * len(ETHNICITIES), k),
+        "year_logits": (n_year_buckets(cfg.year_range), k),
+    }
 
 
 def _cfg_to_obj(cfg: SyntheticConfig) -> dict:
@@ -335,6 +339,25 @@ def _make_filter(params: GeneratorParams, static: StaticCovariates):
     return _ChainFilter(params, static)
 
 
+def _filtered_marginals(
+    params: GeneratorParams, taxonomy: OccupationTaxonomy, history: CareerHistory
+) -> Iterator[np.ndarray]:
+    """Exact distribution of each record given the records before it, in
+    order, from one forward-filtering walk: advance to a record's year, yield
+    the marginal, observe the record. A caller that stops after record t
+    leaves record t unobserved."""
+    static = history.static
+    _check_covariates(static)
+    first = history.records[0]
+    yield params.initial_distribution(static, first.year)
+    filt = _make_filter(params, static)
+    filt.start(first.year, taxonomy.index_of(first.occupation))
+    for rec in history.records[1:]:
+        filt.advance_to(rec.year)
+        yield filt.marginal()
+        filt.observe(taxonomy.index_of(rec.occupation))
+
+
 def oracle_probability(
     params: GeneratorParams,
     taxonomy: OccupationTaxonomy,
@@ -350,18 +373,7 @@ def oracle_probability(
     """
     if not (1 <= t <= len(history)):
         raise ValueError(f"transition index {t} out of range 1..{len(history)}")
-    static = history.static
-    _check_covariates(static)
-    if t == 1:
-        return params.initial_distribution(static, history.records[0].year)
-    filt = _make_filter(params, static)
-    first = history.records[0]
-    filt.start(first.year, taxonomy.index_of(first.occupation))
-    for rec in history.records[1 : t - 1]:
-        filt.advance_to(rec.year)
-        filt.observe(taxonomy.index_of(rec.occupation))
-    filt.advance_to(history.records[t - 1].year)
-    return filt.marginal()
+    return next(itertools.islice(_filtered_marginals(params, taxonomy, history), t - 1, None))
 
 
 def _check_covariates(static: StaticCovariates) -> None:
@@ -373,6 +385,8 @@ class OracleModel:
     """Ground-truth generator conditionals behind the occupation-model interface."""
 
     def __init__(self, params: GeneratorParams, taxonomy: OccupationTaxonomy):
+        if params.k != taxonomy.size:
+            raise ValueError(f"generator tables cover {params.k} occupations, the taxonomy has {taxonomy.size}")
         self.params = params
         self.taxonomy = taxonomy
 
@@ -382,18 +396,7 @@ class OracleModel:
     def predict_all(self, history: CareerHistory) -> list[np.ndarray]:
         """Distributions for every t in one filtering pass (avoids the
         quadratic cost of calling :meth:`predict` per transition)."""
-        static = history.static
-        _check_covariates(static)
-        out = [self.params.initial_distribution(static, history.records[0].year)]
-        if len(history) == 1:
-            return out
-        filt = _make_filter(self.params, static)
-        filt.start(history.records[0].year, self.taxonomy.index_of(history.records[0].occupation))
-        for rec in history.records[1:]:
-            filt.advance_to(rec.year)
-            out.append(filt.marginal())
-            filt.observe(self.taxonomy.index_of(rec.occupation))
-        return out
+        return list(_filtered_marginals(self.params, self.taxonomy, history))
 
 
 # --------------------------------------------------------------------------

@@ -125,12 +125,6 @@ class OccupationTaxonomy:
     def titles(self) -> list[str]:
         return [e.title for e in self.entries]
 
-    def special_code(self, kind: OccupationKind) -> int:
-        for e in self.entries:
-            if e.kind == kind:
-                return e.code
-        raise TaxonomyError(f"no entry of kind {kind.value}")
-
     # ------------------------------------------------------------------ IO
 
     def dump_csv(self, path) -> None:

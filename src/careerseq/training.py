@@ -2,9 +2,9 @@
 schedules, one seeded epoch loop shared by the token LM and the career model,
 validation-based checkpoint selection, and finite-difference gradient checks.
 
-Training is single-threaded and bit-deterministic for a fixed seed: the
-shuffle order of epoch ``e`` derives from (seed, e), so reruns retrace the
-same batches and produce identical weights.
+Training is bit-deterministic for a fixed seed and BLAS thread count (the
+CLI pins one thread): the shuffle order of epoch ``e`` derives from (seed,
+e), so reruns retrace the same batches and produce identical weights.
 """
 
 from __future__ import annotations

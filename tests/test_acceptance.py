@@ -477,8 +477,6 @@ def _grouped_scores(n_ind, per, seed):
         ttype=np.array(["first"] * n, dtype=object),
         logp_true=np.array(logp),
         p_stay=np.full(n, np.nan),
-        weight=np.ones(n),
-        subgroups={},
     )
 
 
@@ -499,8 +497,6 @@ def test_11_bootstrap_determinism_scaling_and_pairing():
         ttype=scores.ttype.copy(),
         logp_true=scores.logp_true + 0.05,
         p_stay=scores.p_stay.copy(),
-        weight=scores.weight.copy(),
-        subgroups={},
     )
     paired = bootstrap_pair(perplexity, scores, shifted, BootstrapConfig(b=100, seed=6))
     se_naive = np.sqrt(2) * bootstrap_metric(perplexity, scores, BootstrapConfig(b=100, seed=7)).se

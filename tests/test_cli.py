@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import shutil
@@ -6,9 +7,10 @@ import pytest
 
 from careerseq.cli import main
 from careerseq.corpus import load_jsonl
-from careerseq.evaluation import perplexity, read_metrics_csv, score_model
+from careerseq.evaluation import perplexity, read_stamped_csv, score_model
 from careerseq.experiments import write_experiment_output
 from careerseq.models import CareerModel, CheckpointError, EmpiricalModel, config_hash, load_checkpoint, load_token_lm
+from careerseq.synthetic import SyntheticConfig, build_params
 from careerseq.taxonomy import OccupationTaxonomy, build_default_taxonomy
 
 SUBCOMMANDS = ["gen-data", "split", "render", "parse", "train", "eval", "experiment", "report"]
@@ -171,7 +173,7 @@ class TestTrainEval:
         assert main(["eval", "--data", str(d["split"]), "--taxonomy", str(d["tax"]),
                      "--model-a", str(ckpt), "--model-b", "oracle", "--gen-params", str(d["params"]),
                      "--out", str(out), "--bootstrap", "20", "--seed", "4"]) == 0
-        rows, provenance = read_metrics_csv(out / "metrics.csv")
+        _, rows, provenance = read_stamped_csv(out / "metrics.csv")
         metrics = {(r["model"], r["metric"], r["filter"]) for r in rows}
         assert ("model_a", "perplexity", "all") in metrics
         assert ("model_a", "auc_move", "non-first") in metrics
@@ -296,7 +298,7 @@ class TestTrainEval:
             assert main(["eval", "--data", str(d["split"]), "--taxonomy", str(d["tax"]), "--model-a", "oracle",
                          "--model-b", str(ckpt), "--gen-params", str(d["params"]), "--out", str(out),
                          "--bootstrap", "5", "--seed", "4", *flags]) == 0
-            rows, _ = read_metrics_csv(out / "metrics.csv")
+            _, rows, _ = read_stamped_csv(out / "metrics.csv")
             ppl[len(flags)] = {r["model"]: float(r["value"]) for r in rows
                                if r["metric"] == "perplexity" and r["filter"] == "all"}
         assert ppl[0]["model_a"] == ppl[1]["model_a"]  # the oracle is untouched
@@ -311,7 +313,7 @@ class TestTrainEval:
         out = d["dir"] / "eval"
         assert main(["eval", "--data", str(d["split"]), "--taxonomy", str(d["tax"]), "--model-a", str(ckpt),
                      "--out", str(out), "--bootstrap", "5", "--seed", "4"]) == 0
-        rows, _ = read_metrics_csv(out / "metrics.csv")
+        _, rows, _ = read_stamped_csv(out / "metrics.csv")
         got = next(float(r["value"]) for r in rows
                    if (r["model"], r["metric"], r["filter"]) == ("model_a", "perplexity", "all"))
         test = ds.split("test")
@@ -427,6 +429,21 @@ class TestMalformedInputsExitTwo:
         assert code == 2, err
         assert message in err
 
+    @pytest.mark.parametrize("size, edit, message", [
+        (12, None, "12 occupations"),
+        (6, None, "6 occupations"),
+        (8, lambda p: dataclasses.replace(p, year_logits=p.year_logits[:1]), "year_logits has shape"),
+    ], ids=["more-occupations", "fewer-occupations", "year-table-cut"])
+    def test_oracle_generator_file_must_fit(self, checkpoints, tmp_path, size, edit, message, capsys):
+        params = build_params(SyntheticConfig(taxonomy_size=size, seed=5))
+        path = tmp_path / "gen-params.npz"
+        (edit(params) if edit else params).save(path)
+        code = main(["eval", "--data", str(checkpoints["split"]), "--taxonomy", str(checkpoints["tax"]),
+                     "--model-a", "oracle", "--gen-params", str(path), "--out", str(tmp_path / "ev"), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert message in err
+
 
 class TestExperimentCommand:
     def test_covariate_randomization_kind(self, pipeline):
@@ -490,11 +507,11 @@ class TestReport:
         m = d["dir"] / "m"
         assert main(["eval", "--data", str(d["split"]), "--taxonomy", str(d["tax"]), "--model-a", str(ckpt),
                      "--out", str(m), "--bootstrap", "10", "--seed", "2"]) == 0
-        evaluated, provenance = read_metrics_csv(m / "metrics.csv")
+        _, evaluated, provenance = read_stamped_csv(m / "metrics.csv")
         # an experiment table is neither metrics nor calibration, and its hash does not count for --force
         config_hash = provenance["config_hash"] if same_hash else "other"
         write_experiment_output(m, "gap_year", [{"t": 2, "direct": 0.25, "compound": 0.5}], {"config_hash": config_hash})
         out = d["dir"] / "rep"
         assert main(["report", "--metrics", str(m), "--out", str(out), "--seed", "0"]) == 0
-        combined, _ = read_metrics_csv(out / "metrics_combined.csv")
+        _, combined, _ = read_stamped_csv(out / "metrics_combined.csv")
         assert combined == sorted(evaluated, key=lambda r: (r["dataset"], r["model"], r["metric"], r["filter"]))

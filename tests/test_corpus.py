@@ -18,6 +18,7 @@ from careerseq.corpus import (
 )
 from careerseq.synthetic import SyntheticConfig, generate_synthetic
 from careerseq.taxonomy import (
+    SPECIAL_KINDS,
     OccupationEntry,
     OccupationKind,
     OccupationTaxonomy,
@@ -43,9 +44,12 @@ class TestTaxonomy:
     def test_default_sizes_and_specials(self):
         tax = build_default_taxonomy(334)
         assert tax.size == 334
-        assert tax.title(tax.special_code(OccupationKind.UNEMPLOYED)) == "Unemployed"
-        assert tax.title(tax.special_code(OccupationKind.EDUCATION)) == "In education"
-        assert tax.title(tax.special_code(OccupationKind.OUT_OF_LABOR_FORCE)) == "Not in labor force"
+        specials = {e.kind: e.title for e in tax.entries if e.kind in SPECIAL_KINDS}
+        assert specials == {
+            OccupationKind.UNEMPLOYED: "Unemployed",
+            OccupationKind.EDUCATION: "In education",
+            OccupationKind.OUT_OF_LABOR_FORCE: "Not in labor force",
+        }
 
     def test_code_title_bijection(self):
         tax = build_default_taxonomy(50)
@@ -136,7 +140,7 @@ class TestTransitionType:
     def test_shares_sum_to_one(self):
         ds, _ = generate_synthetic(SyntheticConfig(n_individuals=50, taxonomy_size=8, seed=3))
         stats = summarize(ds)
-        assert abs(sum(stats.type_shares.values()) - 1.0) < 1e-12
+        assert sum(stats.type_counts.values()) == stats.n_transitions > 0
 
 
 class TestSplit:
