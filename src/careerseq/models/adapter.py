@@ -8,7 +8,22 @@ need not sum to one over the taxonomy (mass leaks to strings that are not
 job titles); the normalized variant rescales by the taxonomy total, so it
 needs every occupation's title scored.
 
-Batched scoring (``score_transitions``, ``job_distribution``) goes through
+``score_transitions`` scores each career document once. Every prompt of a
+history is its text cut before a record's title, so the items of one
+history object are read off one pass over a document: the prompt of its
+latest scored record followed by that record's title (not the full text,
+which could overrun the context where every scored prompt fits). Realized
+titles come from that teacher-forced pass; a mover's previous title runs
+against the document's keys and values cut at the prompt's end (prefix
+sharing within one document, as in RadixAttention, Zheng et al.,
+arXiv:2312.07104). This rests on the tokenizer's compositionality at chunk
+boundaries, checked per item at run time: an item whose prompt ids are not
+a token prefix of the document, or whose realized title's ids do not follow
+them, is scored the per-prompt way. So are all items of a custom
+``prompt_text`` and all items under ``TemplateConfig.trailing_space``, whose
+prompt ends in a space the document attaches to the title.
+
+The per-prompt way, which also serves ``job_distribution``, is
 ``TokenLM.batched_log_probs``: each distinct prompt runs once, and its
 titles run as one batch against the prompt's cached keys and values, each
 distinct title once. ``generate`` runs the prompt once and then one sampled
@@ -125,22 +140,72 @@ class LmOccupationAdapter:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched (log P(realized occupation), raw P(previous occupation))
         for many (history, t) pairs; the stay column is NaN at t=1.
-        ``prompt_text`` renders each prompt; the default is the codec's."""
+        ``prompt_text`` renders each prompt; the default is the codec's.
+
+        With the codec's prompts, each history object's items are scored
+        from its document (:meth:`_score_documents`); items that fail its
+        token-prefix check, every item of a custom ``prompt_text`` and every
+        item under ``trailing_space`` go through
+        :meth:`TokenLM.batched_log_probs`."""
         render = prompt_text or self.codec.render_prompt
-        encoded = self.vocab.encode_batch([render(h, t) for h, t in items])
-        pairs, true_at, stay_at, stay_items = [], [], [], []
-        for i, ((h, t), ids) in enumerate(zip(items, encoded)):
-            prompt = [self.vocab.bos_id] + ids
-            true_at.append(len(pairs))
-            pairs.append((prompt, self.continuation_ids(h.records[t - 1].occupation)))
-            if t > 1:
-                stay_items.append(i)
-                stay_at.append(len(pairs))
-                pairs.append((prompt, self.continuation_ids(h.records[t - 2].occupation)))
-        lps = self._title_log_probs(pairs)
+        prompts = [[self.vocab.bos_id] + ids for ids in self.vocab.encode_batch([render(h, t) for h, t in items])]
+        # the realized title, then at t > 1 the previous one
+        titles = [[self.continuation_ids(h.records[s - 1].occupation) for s in (t, t - 1) if s >= 1] for h, t in items]
+        for prompt, conts in zip(prompts, titles):
+            for cont in conts:
+                self._check_fits(len(prompt) + len(cont))
+        logp = np.empty(len(items))
         p_stay = np.full(len(items), np.nan)
-        p_stay[stay_items] = np.exp(lps[stay_at])
-        return lps[true_at], p_stay
+        rest = list(range(len(items)))
+        if prompt_text is None and not self.codec.config.trailing_space:
+            rest = self._score_documents(items, prompts, titles, logp, p_stay)
+        if rest:
+            at = np.cumsum([0] + [len(titles[i]) for i in rest])[:-1]
+            later = [k for k, i in enumerate(rest) if len(titles[i]) > 1]
+            lps = self._title_log_probs([(prompts[i], cont) for i in rest for cont in titles[i]])
+            logp[rest] = lps[at]
+            p_stay[np.asarray(rest)[later]] = np.exp(lps[at[later] + 1])
+        return logp, p_stay
+
+    def _score_documents(self, items, prompts, titles, logp, p_stay) -> list[int]:
+        """Fill ``logp`` and ``p_stay`` from one pass per history object over
+        its document, the ids of the prompt of its latest scored record
+        followed by that record's title, and return the indices of the items
+        left.
+
+        An item is scored here when its prompt's ids are a token prefix of
+        the document and its realized title's ids follow them. The realized
+        title is read off the document's pass, a stay's ``p_stay`` is the
+        exponential of the same sum, and a mover's previous title runs against
+        the document's keys and values cut at the prompt's end.
+        """
+        by_history: dict[int, dict[int, list[int]]] = {}
+        for i, (h, t) in enumerate(items):
+            by_history.setdefault(id(h), {}).setdefault(t, []).append(i)
+        rest: list[int] = []
+        for by_t in by_history.values():
+            group = [members for _, members in sorted(by_t.items())]
+            last = group[-1][0]
+            doc = prompts[last] + titles[last][0]
+            queries, read = [], []
+            for members in group:
+                prompt, (cont, *previous) = prompts[members[0]], titles[members[0]]
+                n = len(prompt)
+                if doc[:n] != prompt or doc[n : n + len(cont)] != cont:
+                    rest += members
+                    continue
+                self.forward_calls += (1 + len(previous)) * len(members)
+                true_at = len(queries)
+                queries.append((n, np.asarray(cont, dtype=np.int64)))
+                if previous and previous[0] != cont:  # a mover; a stay's previous title is its realized one
+                    queries.append((n, np.asarray(previous[0], dtype=np.int64)))
+                read.append((members, true_at, len(queries) - 1 if previous else None))
+            sums = [lp.sum() for lp in self.lm.document_log_probs(np.asarray(doc), queries, self.vocab.eos_id)]
+            for members, true_at, stay_at in read:
+                logp[members] = sums[true_at]
+                if stay_at is not None:
+                    p_stay[members] = np.exp(sums[stay_at])
+        return sorted(rest)
 
     # ---------------------------------------------------------- generation
 

@@ -17,8 +17,12 @@ shared by every row of the new tokens, which take the positions after it;
 the attention op reads the prefix length from the key shapes.
 Training never passes ``past``; its loss, validation included, is
 :func:`autograd.lm_head_nll`, which projects only real target positions.
-``batched_log_probs`` scores titles with the cache; ``next_token_distribution``
-and ``sequence_log_probs`` run the whole sequence (the uncached references).
+``batched_log_probs`` runs each distinct prompt once and its titles against
+its cache; ``document_log_probs`` runs one document once, reads the titles
+it contains off that pass and runs any other title against its cache cut at
+the title's boundary. Both run titles through ``_titles_against``.
+``next_token_distribution`` and ``sequence_log_probs`` run the whole
+sequence (the uncached references).
 """
 
 from __future__ import annotations
@@ -198,18 +202,49 @@ class TokenLM:
         out: list[np.ndarray] = [np.empty(0)] * len(seqs)
         for titles in groups.values():
             heads = [members[0] for members in titles.values()]
-            prompt = seqs[heads[0]][: read_from[heads[0]]]
-            lps = self._titles_after(prompt, [seqs[i][read_from[i]:] for i in heads], pad_id)
+            final, _, past = self._trunk(seqs[heads[0]][: read_from[heads[0]]])
+            lps = self._titles_against(final.data[0, -1], past, [seqs[i][read_from[i]:] for i in heads], pad_id)
             for lp, members in zip(lps, titles.values()):
                 for i in members:
                     out[i] = lp.copy()
         return out
 
-    def _titles_after(self, prompt: np.ndarray, titles: list[np.ndarray], pad_id: int) -> list[np.ndarray]:
-        """Log-probabilities of each title's tokens after ``prompt``: one
-        pass over the prompt, then one over the titles' tokens but the last."""
-        final, leaves, past = self._trunk(prompt)
-        read = [final.data[0, -1:]]  # row 0 predicts every title's first token
+    def document_log_probs(self, doc: np.ndarray, queries: list[tuple[int, np.ndarray]], pad_id: int) -> list[np.ndarray]:
+        """Log-probabilities of each query's title after ``doc[:boundary]``,
+        for (boundary, title) queries, from one pass over ``doc``.
+
+        Where the document itself continues with the title at the boundary,
+        the title is read off that teacher-forced pass. Any other title runs
+        against the document's keys and values cut at the boundary, as
+        :meth:`batched_log_probs` runs a title against its prompt's cache.
+        The output projection and log-softmax apply only at the rows read.
+        """
+        doc = np.asarray(doc, dtype=np.int64)
+        if any(boundary < 1 for boundary, _ in queries):
+            raise ValueError("every prompt needs at least one token")
+        final, leaves, present = self._trunk(doc)
+        rows = final.data[0]
+        out: list[np.ndarray] = [np.empty(0)] * len(queries)
+        inside, outside = [], []
+        for i, (b, title) in enumerate(queries):
+            (inside if np.array_equal(doc[b : b + title.size], title) else outside).append(i)
+        if inside:
+            spans = [np.arange(b - 1, b - 1 + title.size) for b, title in (queries[i] for i in inside)]
+            at = np.concatenate(spans)  # the rows that predict each title token
+            lp = ag.log_softmax_np(rows[at] @ leaves["w_out"].data)[np.arange(at.size), doc[at + 1]]
+            for i, piece in zip(inside, np.split(lp, np.cumsum([span.size for span in spans])[:-1])):
+                out[i] = piece
+        for i in outside:
+            b, title = queries[i]
+            past = [(k[:, :, :b], v[:, :, :b]) for k, v in present]
+            out[i] = self._titles_against(rows[b - 1], past, [title], pad_id)[0]
+        return out
+
+    def _titles_against(self, last: np.ndarray, past: KeysValues, titles: list[np.ndarray], pad_id: int) -> list[np.ndarray]:
+        """Log-probabilities of each title's tokens after a prefix whose keys
+        and values are ``past`` and whose last final-layer row is ``last``:
+        one pass over the titles' tokens but the last."""
+        read = [last[None]]  # row 0 predicts every title's first token
         rest = [title for title in titles if title.size > 1]
         if rest:
             ids = np.full((len(rest), max(title.size for title in rest) - 1), pad_id, dtype=np.int64)
@@ -217,7 +252,7 @@ class TokenLM:
                 ids[row, : title.size - 1] = title[:-1]
             final, _, _ = self._trunk(ids, past=past)
             read += [final.data[row, : title.size - 1] for row, title in enumerate(rest)]
-        lp = ag.log_softmax_np(np.concatenate(read) @ leaves["w_out"].data)
+        lp = ag.log_softmax_np(np.concatenate(read) @ self.params["w_out"].astype(np.float64, copy=False))
         out, start = [], 1
         for title in titles:
             later = np.arange(start, start + max(title.size - 1, 0))

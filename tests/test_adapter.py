@@ -9,6 +9,7 @@ from careerseq.models import GenerationConfig, LmOccupationAdapter, TokenLM, Tok
 from careerseq.models import adapter as adapter_module
 from careerseq.models.adapter import _sample as sample
 from careerseq.models.token_lm import ContextOverflowError
+from careerseq.template import TemplateCodec
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,115 @@ class TestChainRuleScoring:
                 assert abs(p_stay[i] - np.exp(adapter.joint_log_probability(h, t, previous))) < 1e-12
             else:
                 assert np.isnan(p_stay[i])
+
+
+def _per_prompt_reference(adapter, items, render):
+    """The per-prompt path: every (prompt, title) pair through one
+    ``batched_log_probs`` call, realized title then previous title."""
+    vocab = adapter.vocab
+    seqs, read_from, stay = [], [], []
+    for h, t in items:
+        prompt = [vocab.bos_id] + vocab.encode(render(h, t))
+        for s in (t, t - 1)[: 1 + (t > 1)]:
+            seqs.append(np.asarray(prompt + adapter.continuation_ids(h.records[s - 1].occupation)))
+            read_from.append(len(prompt))
+        stay.append(t > 1)
+    sums = np.array([lp.sum() for lp in adapter.lm.batched_log_probs(seqs, read_from, pad_id=vocab.eos_id)])
+    at = np.cumsum([0] + [1 + s for s in stay])[:-1]
+    p_stay = np.full(len(items), np.nan)
+    p_stay[stay] = np.exp(sums[at[stay] + 1])
+    return sums[at], p_stay
+
+
+class TestDocumentScoring:
+    """``score_transitions`` with the codec's prompts reads each history's
+    titles off one pass over its document; a ``prompt_text`` equal to the
+    codec's forces the per-prompt path for comparison."""
+
+    @staticmethod
+    def assert_paths_agree(adapter, items):
+        logp, p_stay = adapter.score_transitions(items)
+        ref_logp, ref_stay = adapter.score_transitions(items, prompt_text=adapter.codec.render_prompt)
+        assert np.max(np.abs(logp - ref_logp)) < 1e-12
+        assert np.array_equal(np.isnan(p_stay), np.isnan(ref_stay))
+        assert np.nanmax(np.abs(p_stay - ref_stay), initial=0.0) < 1e-12
+
+    def test_out_of_order_subsets_and_repeats(self, toy_bundle, monkeypatch):
+        adapter = toy_bundle["adapter"]
+        test = [h for h in toy_bundle["dataset"].split("test") if len(h) >= 4][:6]
+        items = [(test[0], 3), (test[1], 1), (test[0], 1), (test[2], len(test[2])), (test[0], 3), (test[1], 4)]
+        items += [(h, t) for h in test[3:] for t in range(len(h), 0, -2)]
+        kinds = {h.records[t - 1].occupation == h.records[t - 2].occupation for h, t in items if t > 1}
+        assert kinds == {True, False}, "need stays and movers"
+        self.assert_paths_agree(adapter, items)
+        logp, p_stay = adapter.score_transitions(items)
+        for i, (h, t) in enumerate(items):
+            if t > 1 and h.records[t - 1].occupation == h.records[t - 2].occupation:
+                assert p_stay[i] == np.exp(logp[i])  # a stay's title is scored once
+        # every item passes the prefix check, so no per-prompt call is made
+        monkeypatch.setattr(adapter.lm, "batched_log_probs", None)
+        before = adapter.forward_calls
+        adapter.score_transitions(items)
+        assert adapter.forward_calls - before == len(items) + sum(t > 1 for _, t in items)
+
+    def test_windows_of_one_person(self, toy_bundle):
+        # windows share the individual id but not the text, so each is its
+        # own document
+        adapter = toy_bundle["adapter"]
+        h = max(toy_bundle["dataset"].split("test"), key=len)
+        head, tail = replace(h, records=h.records[:3]), replace(h, records=h.records[2:])
+        items = [(w, t) for w in (h, tail, head) for t in range(1, len(w) + 1)]
+        self.assert_paths_agree(adapter, items)
+
+    def test_long_history_fits_where_its_full_text_does_not(self, toy_bundle, monkeypatch):
+        lm, vocab, codec = toy_bundle["lm"], toy_bundle["vocab"], toy_bundle["codec"]
+        h = max(toy_bundle["dataset"].split("test"), key=len)
+        wide = toy_bundle["adapter"]
+        need = max(
+            len(wide.prompt_ids(h, t)) + len(wide.continuation_ids(h.records[s - 1].occupation))
+            for t in range(1, len(h) + 1)
+            for s in (t, t - 1)[: 1 + (t > 1)]
+        )
+        assert len(vocab.encode(codec.render_full(h))) + 2 > need
+        narrow = TokenLM(replace(lm.config, context=need), seed=0)
+        narrow.params = {**lm.params, "pos_emb": lm.params["pos_emb"][:need]}
+        adapter = LmOccupationAdapter(narrow, vocab, codec)
+        items = [(h, t) for t in range(1, len(h) + 1)]
+        self.assert_paths_agree(adapter, items)
+        monkeypatch.setattr(narrow, "batched_log_probs", None)  # the document path scores every item
+        adapter.score_transitions(items)
+
+    def test_failed_prefix_check_falls_back_per_item(self, toy_bundle):
+        # a codec whose second prompt differs from the document's text: that
+        # item takes the per-prompt path, bit-identical to it
+        class Spaced(type(toy_bundle["codec"])):
+            def render_prompt(self, history, t):
+                text = super().render_prompt(history, t)
+                return text.replace(" (", "  (") if t == 2 else text
+
+        codec = Spaced(toy_bundle["codec"].taxonomy, toy_bundle["codec"].config)
+        adapter = LmOccupationAdapter(toy_bundle["lm"], toy_bundle["vocab"], codec)
+        h = next(h for h in toy_bundle["dataset"].split("test") if len(h) >= 3)
+        items = [(h, t) for t in range(1, len(h) + 1)]
+        logp, p_stay = adapter.score_transitions(items)
+        ref_logp, ref_stay = _per_prompt_reference(adapter, items, codec.render_prompt)
+        assert logp[1] == ref_logp[1] and p_stay[1] == ref_stay[1]
+        assert np.max(np.abs(logp - ref_logp)) < 1e-12
+        assert np.nanmax(np.abs(p_stay - ref_stay)) < 1e-12
+
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_fallback_configs_are_the_per_prompt_path(self, toy_bundle, custom):
+        codec = toy_bundle["codec"]
+        if custom:
+            adapter, render = toy_bundle["adapter"], lambda h, t: codec.enrich_prompt(codec.render_prompt(h, t), True)
+        else:
+            codec = TemplateCodec(codec.taxonomy, replace(codec.config, trailing_space=True))
+            adapter, render = LmOccupationAdapter(toy_bundle["lm"], toy_bundle["vocab"], codec), codec.render_prompt
+        items = [(h, t) for h in toy_bundle["dataset"].split("test")[:3] for t in range(len(h), 0, -1)]
+        logp, p_stay = adapter.score_transitions(items, prompt_text=render if custom else None)
+        ref_logp, ref_stay = _per_prompt_reference(adapter, items, render)
+        assert np.array_equal(logp, ref_logp)
+        assert np.array_equal(p_stay, ref_stay, equal_nan=True)
 
 
 class TestGeneration:

@@ -4,14 +4,18 @@ import json
 import shutil
 
 import pytest
+from conftest import career_histories
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from careerseq.cli import main
-from careerseq.corpus import load_jsonl
+from careerseq.corpus import BIRTH_YEAR_WINDOW, load_jsonl
 from careerseq.evaluation import perplexity, read_stamped_csv, score_model
 from careerseq.experiments import write_experiment_output
 from careerseq.models import CareerModel, CheckpointError, EmpiricalModel, config_hash, load_checkpoint, load_token_lm
 from careerseq.synthetic import SyntheticConfig, build_params
 from careerseq.taxonomy import OccupationTaxonomy, build_default_taxonomy
+from careerseq.template import HEADER_LINE, TemplateCodec, TemplateConfig
 
 SUBCOMMANDS = ["gen-data", "split", "render", "parse", "train", "eval", "experiment", "report"]
 
@@ -161,6 +165,93 @@ class TestRenderParse:
         original = json.loads(data.read_text().splitlines()[1])
         assert obj["records"] == original["records"]
         assert obj["gender"] == "male" and obj["birth_year"] == 1984
+
+
+PARSE_TAXONOMY = build_default_taxonomy(20)
+PARSE_CODEC = TemplateCodec(PARSE_TAXONOMY, TemplateConfig(dataset_tag="SYNTH"))
+_LINE_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=30)
+
+
+def _template_lines(draw) -> list[str]:
+    return PARSE_CODEC.render_full(draw(career_histories(PARSE_TAXONOMY))).split("\n")[:-1]
+
+
+@st.composite
+def broken_templates(draw):
+    """A rendered template with one change that no valid template has: a
+    structural line dropped, any line duplicated, a bad record year, a birth
+    year out of range, or a title outside the taxonomy."""
+    lines = _template_lines(draw)
+    header = lines.index(HEADER_LINE)
+    records = range(header + 1, len(lines) - 1)
+    kind = draw(st.sampled_from(["drop", "duplicate", "year", "birth", "title"]))
+    if kind == "drop":
+        del lines[draw(st.sampled_from([0, 1, header, len(lines) - 1]))]
+    elif kind == "duplicate":
+        i = draw(st.integers(0, len(lines) - 1))
+        lines.insert(i, lines[i])
+    elif kind == "year":
+        i = draw(st.sampled_from(records))
+        bad = [st.integers(0, 999).map(str), st.integers(10_000, 10**6).map(str), st.sampled_from(["", "19x5", "2O10"])]
+        if i > header + 1:  # not after the previous record's year
+            bad.append(st.integers(1000, int(lines[i - 1][:4])).map(str))
+        lines[i] = draw(st.one_of(bad)) + lines[i][4:]
+    elif kind == "birth":
+        year = draw(st.one_of(st.integers(1000, BIRTH_YEAR_WINDOW[0] - 1), st.integers(BIRTH_YEAR_WINDOW[1] + 1, 9999)))
+        lines[2] = f"The worker was born in {year}."
+    else:
+        i = draw(st.sampled_from(records))
+        title = draw(_LINE_TEXT.filter(lambda text: text and not PARSE_TAXONOMY.has_title(text)))
+        lines[i] = lines[i][: lines[i].index("): ") + 3] + title
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def mutated_templates(draw):
+    """A rendered template with one to three lines dropped, duplicated,
+    replaced by arbitrary text or with arbitrary text inserted; the result
+    may still be valid."""
+    lines = _template_lines(draw)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["drop", "duplicate", "replace", "insert"]))
+        if kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "replace":
+            lines[i] = draw(st.text(max_size=40))
+        else:
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + draw(st.text(min_size=1, max_size=5)) + lines[i][at:]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def parse_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("parse")
+    PARSE_TAXONOMY.dump_csv(root / "tax.csv")
+    return root
+
+
+def _parse_exit_code(root, text: str) -> int:
+    (root / "in.txt").write_text(text, encoding="utf-8")
+    return main(["parse", "--in", str(root / "in.txt"), "--taxonomy", str(root / "tax.csv"), "--seed", "0"])
+
+
+class TestParseMutatedTemplates:
+    """Bad templates are configuration errors (exit 2), never runtime
+    failures (exit 3)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=broken_templates())
+    def test_broken_template_exits_two(self, parse_dir, text):
+        assert _parse_exit_code(parse_dir, text) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=mutated_templates())
+    def test_mutated_template_never_exits_three(self, parse_dir, text):
+        assert _parse_exit_code(parse_dir, text) in (0, 2)
 
 
 class TestTrainEval:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from careerseq.evaluation import (
     score_model,
     write_metrics_csv,
 )
+from careerseq.models import EmpiricalModel
 from careerseq.synthetic import OracleModel, SyntheticConfig, generate_synthetic
 from careerseq.taxonomy import build_default_taxonomy
 
@@ -263,6 +266,26 @@ class TestBootstrap:
     def test_b_minimum(self):
         with pytest.raises(EvalError):
             BootstrapConfig(b=1)
+
+    def test_standard_errors_match_the_spread_across_test_sets(self):
+        # the cluster-bootstrap SE on one test set estimates how the metric
+        # varies across test sets drawn from the same generator; the bound
+        # on mean SE / spread was fixed before the first run
+        cfg = SyntheticConfig(n_individuals=1500, taxonomy_size=24, seed=11)
+        train, params = generate_synthetic(cfg)
+        oracle = OracleModel(params, train.taxonomy)
+        empirical = EmpiricalModel(train.taxonomy).fit(list(train.individuals))
+        points, ses = [], []
+        for sample_seed in range(1000, 1030):
+            test, _ = generate_synthetic(replace(cfg, n_individuals=200, sample_seed=sample_seed))
+            histories = list(test.individuals)
+            a = score_model(oracle, histories, test.taxonomy)
+            b = score_model(empirical, histories, test.taxonomy)
+            pair = bootstrap_pair(perplexity, a, b, BootstrapConfig(b=200, seed=sample_seed))
+            points.append((pair.point_a, pair.diff))
+            ses.append((pair.se_a, pair.se_diff))
+        ratio = np.mean(ses, axis=0) / np.std(points, axis=0, ddof=1)
+        assert ((0.75 <= ratio) & (ratio <= 1.33)).all(), ratio
 
 
 class TestGapYear:

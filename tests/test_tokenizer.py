@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import career_histories
 
+from careerseq.corpus import CareerHistory, CareerRecord, Education, Ethnicity, Gender, Region, StaticCovariates
 from careerseq.taxonomy import (
     OccupationEntry,
     OccupationKind,
@@ -194,6 +195,36 @@ class TestEncodingInvariants:
         code = data.draw(st.sampled_from(TAXONOMY.codes()))
         prompt, cont = CODEC.render_prompt(history, t), CODEC.title_continuation(code)
         assert TEMPLATE_VOCAB.encode(prompt) + TEMPLATE_VOCAB.encode(cont) == TEMPLATE_VOCAB.encode(prompt + cont)
+
+    @settings(max_examples=80, deadline=None)
+    @given(history=career_histories(TAXONOMY), data=st.data())
+    def test_prompts_are_token_prefixes_of_the_document(self, history, data):
+        # the adapter scores every record up to t_max off one document: the
+        # prompt of record t_max followed by its title
+        t_max = data.draw(st.integers(1, len(history)))
+        doc = _document_ids(CODEC, history, t_max)
+        for t in range(1, t_max + 1):
+            prompt = [TEMPLATE_VOCAB.bos_id] + TEMPLATE_VOCAB.encode(CODEC.render_prompt(history, t))
+            cont = TEMPLATE_VOCAB.encode(CODEC.title_continuation(history.records[t - 1].occupation))
+            assert doc[: len(prompt) + len(cont)] == prompt + cont
+
+    def test_trailing_space_prompts_are_not_token_prefixes(self):
+        # the prompt's trailing space is a chunk of its own, while the
+        # document attaches it to the title: this config keeps per-prompt scoring
+        codec = TemplateCodec(TAXONOMY, TemplateConfig(trailing_space=True))
+        history = CareerHistory(
+            "w", "SYNTH", StaticCovariates(Gender.FEMALE, Ethnicity.WHITE, Region.SOUTH, 1960),
+            tuple(CareerRecord(2000 + i, Education.COLLEGE, TAXONOMY.code_at(i + 3)) for i in range(3)),
+        )
+        doc = _document_ids(codec, history, 3)
+        for t in (1, 2, 3):
+            prompt = [TEMPLATE_VOCAB.bos_id] + TEMPLATE_VOCAB.encode(codec.render_prompt(history, t))
+            assert doc[: len(prompt)] != prompt
+
+
+def _document_ids(codec, history, t_max):
+    text = codec.render_prompt(history, t_max) + codec.title_continuation(history.records[t_max - 1].occupation)
+    return [TEMPLATE_VOCAB.bos_id] + TEMPLATE_VOCAB.encode(text)
 
 
 # --------------------------------------------------------------------------

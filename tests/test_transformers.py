@@ -103,6 +103,22 @@ class TestTokenLm:
             assert np.allclose(got, solo, atol=1e-12, rtol=0)
         assert batched[-2] is not batched[0]
 
+    def test_document_log_probs_match_single(self):
+        lm = TokenLM(TokenLmConfig(vocab_size=70, d_model=16, n_layers=2, n_heads=2, context=40), seed=11)
+        rng = np.random.default_rng(12)
+        lm.params["w_out"] = rng.normal(0, 0.1, lm.params["w_out"].shape).astype(np.float32)
+        doc = rng.integers(0, 70, size=30)
+        # titles the document contains at their boundary, titles it does not
+        # (one and several tokens), a title running to the document's end,
+        # and a repeat
+        queries = [(4, doc[4:7]), (1, doc[1:2]), (12, rng.integers(0, 70, size=5)), (20, np.array([(doc[20] + 1) % 70])),
+                   (26, doc[26:]), (9, rng.integers(0, 70, size=3)), (4, doc[4:7])]
+        got = lm.document_log_probs(doc, queries, pad_id=0)
+        for (b, title), lp in zip(queries, got):
+            solo = lm.sequence_log_probs(np.concatenate([doc[:b], title]), from_position=b)
+            assert lp.shape == solo.shape
+            assert np.allclose(lp, solo, atol=1e-12, rtol=0)
+
     def test_batched_log_probs_context_cap(self):
         lm = TokenLM(TokenLmConfig(vocab_size=30, d_model=8, n_layers=1, n_heads=2, context=8), seed=0)
         assert [lp.size for lp in lm.batched_log_probs([np.arange(8)], [5], pad_id=0)] == [3]
