@@ -23,29 +23,13 @@ from numpy._core import _multiarray_umath
 
 from . import evaluation as ev
 from . import experiments as ex
-from .corpus import Dataset, dump_jsonl, load_jsonl, split_dataset, summarize
-from .models import (
-    CareerConfig,
-    CareerModel,
-    EmpiricalModel,
-    LmOccupationAdapter,
-    MnlFitConfig,
-    MnlModel,
-    PrevCovariatesFeaturizer,
-    PrevOccupationFeaturizer,
-    TokenLM,
-    TokenLmConfig,
-    config_hash,
-    load_checkpoint,
-    load_token_lm,
-    paper_preset,
-    save_token_lm,
-)
+from .corpus import Dataset, _history_to_obj, dump_jsonl, load_jsonl, read_jsonl, split_dataset, summarize
+from .models import EmpiricalModel, LmOccupationAdapter, config_hash, factory
+from .models.checkpoint import check_replaceable
 from .synthetic import GeneratorParams, OracleModel, SyntheticConfig, generate_synthetic
 from .taxonomy import OccupationTaxonomy
 from .template import NumericTitleMap, TemplateCodec, TemplateConfig
-from .tokenizer import train_template_vocab
-from .training import LrSchedule, OptimizerConfig, train_career, train_token_lm
+from .tokenizer import title_token_stats, train_template_vocab  # noqa: F401 (perfbench's tracing test rebinds it here)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -218,18 +202,18 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True)
     t.add_argument("--taxonomy", required=True)
     t.add_argument("--out", required=True, help="checkpoint directory")
-    t.add_argument("--preset", choices=["toy", "paper"], default="toy")
+    t.add_argument("--preset", choices=["toy", "paper"], default=factory.DEFAULTS["career"]["preset"])
     t.add_argument("--epochs", type=int, default=None)
     t.add_argument("--lr", type=float, default=None)
     t.add_argument("--batch", type=int, default=None)
-    t.add_argument("--vocab-size", type=int, default=2048)
+    t.add_argument("--vocab-size", type=int, default=factory.DEFAULTS["lm"]["vocab_size"])
     t.add_argument("--d-model", type=int, default=None)
     t.add_argument("--n-layers", type=int, default=None)
-    t.add_argument("--context", type=int, default=512)
+    t.add_argument("--context", type=int, default=factory.DEFAULTS["lm"]["context"])
     t.add_argument("--no-birth-year", action="store_true")
     t.add_argument("--numeric-map", default=None)
-    t.add_argument("--featurizer", choices=["prev", "prev_covariates"], default="prev_covariates")
-    t.add_argument("--reg", type=float, default=0.0)
+    t.add_argument("--featurizer", choices=list(factory.FEATURIZERS), default=factory.DEFAULTS["mnl"]["featurizer"])
+    t.add_argument("--reg", type=float, default=factory.DEFAULTS["mnl"]["reg"])
     t.add_argument("--pretrain-data", default=None, help="career: optional pre-training JSONL")
     t.set_defaults(func=cmd_train, default_of=t.get_default)
 
@@ -329,12 +313,7 @@ def _codec_from_args(args, taxonomy, default_tag="SYNTH") -> TemplateCodec:
 
 def cmd_render(args) -> None:
     taxonomy = OccupationTaxonomy.load_csv(args.taxonomy)
-    if args.inp:
-        ds = load_jsonl(args.inp, taxonomy)
-    else:
-        from .corpus import read_jsonl
-
-        ds = read_jsonl(sys.stdin, taxonomy, origin="<stdin>")
+    ds = load_jsonl(args.inp, taxonomy) if args.inp else read_jsonl(sys.stdin, taxonomy, origin="<stdin>")
     histories = list(ds.individuals)
     if args.id is not None:
         histories = [h for h in histories if h.individual_id == args.id]
@@ -354,117 +333,64 @@ def cmd_parse(args) -> None:
     taxonomy = OccupationTaxonomy.load_csv(args.taxonomy)
     codec = _codec_from_args(args, taxonomy, default_tag=args.tag)
     text = open(args.inp, "r", encoding="utf-8").read() if args.inp else sys.stdin.read()
-    blocks = [b for b in text.split("\n\n") if b.strip()]
-    histories = []
-    for i, block in enumerate(blocks):
-        if not block.endswith("\n"):
-            block += "\n"
-        histories.append(codec.parse(block, individual_id=f"parsed-{i:04d}"))
+    blocks = [b if b.endswith("\n") else b + "\n" for b in text.split("\n\n") if b.strip()]
+    histories = [codec.parse(block, individual_id=f"parsed-{i:04d}") for i, block in enumerate(blocks)]
     ds = Dataset(taxonomy=taxonomy, individuals=tuple(histories))
     for h in ds.individuals:
-        from .corpus import _history_to_obj
-
         sys.stdout.write(json.dumps(_history_to_obj(h, None), separators=(",", ":")) + "\n")
 
 
-# the train options each model reads; every other one must keep its default
-_TRAIN_OPTIONS = {
-    "empirical": (),
-    "mnl": ("epochs", "featurizer", "reg"),
-    "career": ("preset", "epochs", "lr", "batch", "d_model", "n_layers", "pretrain_data"),
-    "lm": ("epochs", "lr", "batch", "vocab_size", "d_model", "n_layers", "context", "no_birth_year", "numeric_map"),
-}
+# train options that set a spec key of another name
+_OPTIONS_OF_KEY = {"pretrain": ("pretrain_data",), "codec": ("no_birth_year", "numeric_map")}
+
+
+def _options_read(kind: str, preset: str) -> set[str]:
+    return {dest for key in factory.spec_keys(kind, preset) for dest in _OPTIONS_OF_KEY.get(key, (key,))}
 
 
 def _reject_unread_train_options(args) -> None:
     """A train option, given as a flag or a ``--config`` key, that the chosen
     model does not read is a configuration error, not silently dropped."""
-    read = set(_TRAIN_OPTIONS[args.model])
-    chosen = f"train {args.model}"
-    if args.model == "career" and args.preset == "paper":
-        read -= {"d_model", "n_layers"}  # the preset fixes the size
-        chosen += " --preset paper"
-    for dest in sorted(set().union(*_TRAIN_OPTIONS.values()) - read):
+    read = _options_read(args.model, args.preset)
+    preset = "preset" in read and args.preset != args.default_of("preset")
+    chosen = f"train {args.model}" + (f" --preset {args.preset}" if preset else "")
+    for dest in sorted(set().union(*(_options_read(kind, "toy") for kind in factory.DEFAULTS)) - read):
         if getattr(args, dest) != args.default_of(dest):
             raise CliError(f"--{dest.replace('_', '-')} does not apply to {chosen}")
 
 
+def _train_spec(args, taxonomy) -> dict:
+    """The factory spec of the train options; an option not given takes the
+    factory's default."""
+    spec = {}
+    for key in factory.spec_keys(args.model, args.preset):
+        if key == "codec":
+            spec[key] = _codec_from_args(args, taxonomy)
+        elif key == "pretrain":
+            spec[key] = load_jsonl(args.pretrain_data, taxonomy).individuals if args.pretrain_data else ()
+        elif getattr(args, key) is not None:
+            spec[key] = getattr(args, key)
+    return spec
+
+
 def cmd_train(args) -> None:
     _reject_unread_train_options(args)
+    check_replaceable(args.out)
     taxonomy = OccupationTaxonomy.load_csv(args.taxonomy)
     ds = load_jsonl(args.data, taxonomy)
     if ds.split_labels is None:
         raise CliError("training data must carry split labels (run `careerseq split` first)")
-    train, valid = ds.split("train"), ds.split("valid")
-    out = Path(args.out)
-    report = None
-    if args.model == "empirical":
-        model = EmpiricalModel(taxonomy, normalized=False).fit(train)
-        model.save(out)
-    elif args.model == "mnl":
-        feat = PrevOccupationFeaturizer(taxonomy) if args.featurizer == "prev" else PrevCovariatesFeaturizer(taxonomy)
-        model = MnlModel(feat, taxonomy, reg=args.reg)
-        model.fit(train, MnlFitConfig(max_iters=args.epochs or 2000, seed=args.seed))
-        model.save(out)
-    elif args.model == "career":
-        pretrain = list(load_jsonl(args.pretrain_data, taxonomy).individuals) if args.pretrain_data else []
-        if args.preset == "paper":
-            cconf = paper_preset(taxonomy.size)
-        else:
-            cconf = CareerConfig(
-                taxonomy_size=taxonomy.size,
-                d_model=args.d_model or 64,
-                n_layers=args.n_layers if args.n_layers is not None else 4,
-                n_heads=2,
-                d_ff=4 * (args.d_model or 64),
-                max_positions=max(len(h) for h in [*ds.individuals, *pretrain]) + 1,
-            )
-        model = CareerModel(cconf, taxonomy, seed=args.seed)
-        cfg = OptimizerConfig(
-            lr_schedule=LrSchedule(kind="inverse_sqrt_warmup", peak=args.lr or 1e-3, warmup_steps=100, init=1e-7),
-            max_epochs=args.epochs or 10,
-            batch_sequences=args.batch or 32,
-            weight_decay=0.01,
-            seed=args.seed,
-            patience=3,
-        )
-        report = train_career(model, train, valid, pretrain=pretrain, cfg=cfg)
-        model.save(out)
-    else:  # lm
-        codec = _codec_from_args(args, taxonomy)
-        tr_texts = [codec.render_full(h) for h in train]
-        va_texts = [codec.render_full(h) for h in valid]
-        continuations = [codec.title_continuation(c) for c in taxonomy.codes()]
-        vocab = train_template_vocab(tr_texts, continuations, args.vocab_size)
-        all_texts = [codec.render_full(h) for h in ds.individuals]
-        longest = max(len(s) for s in vocab.encode_batch(all_texts)) + 2
-        longest_title = max(len(vocab.encode(codec.title_continuation(c))) for c in taxonomy.codes())
-        lm = TokenLM(
-            TokenLmConfig(
-                vocab_size=vocab.size,
-                d_model=args.d_model or 128,
-                n_layers=args.n_layers if args.n_layers is not None else 4,
-                n_heads=4,
-                context=max(args.context, longest + longest_title + 4),
-            ),
-            seed=args.seed,
-        )
-        cfg = OptimizerConfig(
-            lr_schedule=LrSchedule(kind="linear_decay", peak=args.lr or 1e-3),
-            max_epochs=args.epochs or 3,
-            batch_sequences=args.batch or 32,
-            seed=args.seed,
-        )
-        from .tokenizer import title_token_stats
-
-        stats = title_token_stats(vocab, [codec.title_of(c) for c in taxonomy.codes()])
+    train, valid, test = (ds.split(name) for name in ("train", "valid", "test"))
+    model, report = factory.fit(args.model, _train_spec(args, taxonomy), taxonomy, train, valid, args.seed, test)
+    if isinstance(model, LmOccupationAdapter):
+        stats = title_token_stats(model.vocab, [model.codec.title_of(c) for c in taxonomy.codes()])
         print(
             f"title length under this vocabulary: mean {stats.mean:.1f} tokens "
             f"(range {stats.min}-{stats.max}); reference tokenizer at production scale: mean 8.3 (range 2-28)",
             file=sys.stderr,
         )
-        report, _ = train_token_lm(lm, vocab, tr_texts, va_texts, cfg)
-        save_token_lm(lm, vocab, out)
+    out = Path(args.out)
+    model.save(out)
     if report is not None:
         report.to_csv(out / "train_report.csv")
         report.to_json(out / "train_report.json")
@@ -476,18 +402,7 @@ def _load_model(args, spec: str, taxonomy):
         if not args.gen_params:
             raise CliError("--gen-params is required to evaluate the oracle")
         return OracleModel(GeneratorParams.load(args.gen_params), taxonomy), "oracle"
-    kind, _, config = load_checkpoint(spec)
-    if kind == "empirical":
-        return EmpiricalModel.load(spec, taxonomy), config_hash(config)
-    if kind == "career":
-        return CareerModel.load(spec, taxonomy), config_hash(config)
-    if kind == "token_lm":
-        lm, vocab = load_token_lm(spec)
-        codec = _codec_from_args(args, taxonomy)
-        return LmOccupationAdapter(lm, vocab, codec), config_hash(config)
-    if kind == "mnl":
-        raise CliError("mnl checkpoints need their featurizer; evaluate them through the library API")
-    raise CliError(f"cannot evaluate checkpoint kind {kind!r}")
+    return factory.load(spec, taxonomy, _codec_from_args(args, taxonomy))
 
 
 def cmd_eval(args) -> None:
@@ -510,12 +425,7 @@ def cmd_eval(args) -> None:
     out.mkdir(parents=True, exist_ok=True)
     bcfg = ev.BootstrapConfig(b=args.bootstrap, seed=args.seed)
     scores_a = ev.score_model(model_a, histories, taxonomy)
-    provenance = {
-        "config_hash": hash_a,
-        "seed": args.seed,
-        "split": args.split,
-        "bootstrap": args.bootstrap,
-    }
+    provenance = {"config_hash": hash_a, "seed": args.seed, "split": args.split, "bootstrap": args.bootstrap}
     calib = ev.calibration(scores_a)
     if model_b is not None:
         scores_b = ev.score_model(model_b, histories, taxonomy)
@@ -535,17 +445,8 @@ def cmd_eval(args) -> None:
 
 
 def _metric_row(args, bcfg: ev.BootstrapConfig, model: str, metric: str, filt: str, value, se="") -> dict:
-    return {
-        "dataset": args.dataset_name,
-        "split": args.split,
-        "model": model,
-        "metric": metric,
-        "filter": filt,
-        "value": value,
-        "se": se,
-        "B": bcfg.b,
-        "seed": args.seed,
-    }
+    values = (args.dataset_name, args.split, model, metric, filt, value, se, bcfg.b, args.seed)
+    return dict(zip(ev.METRICS_COLUMNS, values))
 
 
 def _metric_rows(
@@ -586,97 +487,60 @@ def cmd_experiment(args) -> None:
     print(f"wrote {csv_path}", file=sys.stderr)
 
 
-def _experiment_common(params, args):
-    taxonomy = OccupationTaxonomy.load_csv(params["taxonomy"])
-    ds = load_jsonl(params["data"], taxonomy)
-    return taxonomy, ds
-
-
-def _empirical_trainer(taxonomy):
-    # experiments compare training sets, so the trainer must produce proper
-    # distributions; the as-written variant inflates thin-count rows
-    def trainer(histories, seed):
-        return EmpiricalModel(taxonomy, normalized=True).fit(histories)
-
-    return trainer
-
-
 def _dispatch_experiment(spec: ex.ExperimentSpec, params: dict, args) -> list[dict]:
     if spec.kind in ("data_mix", "add_other_sources"):
-        datasets = {}
         taxonomy = OccupationTaxonomy.load_csv(params["taxonomy"])
-        for name, path in params["datasets"].items():
-            datasets[name] = load_jsonl(path, taxonomy)
-        trainer = _empirical_trainer(taxonomy)
+        datasets = {name: load_jsonl(path, taxonomy) for name, path in params["datasets"].items()}
+
+        def trainer(histories, seed):
+            # experiments compare training sets, so the model must give proper
+            # distributions; the as-written variant inflates thin-count rows
+            model, _ = factory.fit("empirical", {}, taxonomy, histories, seed=seed)
+            model.normalized = True
+            return model
+
         if spec.kind == "data_mix":
             return ex.run_data_mix(datasets, params["p_grid"], trainer, seed=spec.seed)
         return ex.run_add_other_sources(datasets, params["base"], params["p_grid"], trainer, seed=spec.seed)
-    taxonomy, ds = _experiment_common(params, args)
+    taxonomy = OccupationTaxonomy.load_csv(params["taxonomy"])
+    ds = load_jsonl(params["data"], taxonomy)
+    if spec.kind == "numeric_titles":
+        return _run_numeric_titles_cli(spec, params, taxonomy, ds)
     histories = ds.split("test") if ds.split_labels else list(ds.individuals)
+    model, _ = _load_model(args, params["model"], taxonomy)
     if spec.kind == "history_truncation":
-        model, _ = _load_model(args, params["model"], taxonomy)
-        return ex.run_history_truncation(
-            model,
-            taxonomy,
-            histories,
-            t_min_grid=params.get("t_min_grid", (5, 10, 15, 20, 25)),
-            k_grid=params.get("k_grid", (5, 10, 15, 20, 25)),
-            seed=spec.seed,
-        )
+        grids = {key: params[key] for key in ("t_min_grid", "k_grid") if key in params}
+        return ex.run_history_truncation(model, taxonomy, histories, seed=spec.seed, **grids)
     if spec.kind == "covariate_randomization":
-        model, _ = _load_model(args, params["model"], taxonomy)
         donors = ds.split("valid") if ds.split_labels else list(ds.individuals)
-        return ex.run_covariate_randomization(
-            model, taxonomy, histories, params["field_sets"], donors, seed=spec.seed
-        )
+        return ex.run_covariate_randomization(model, taxonomy, histories, params["field_sets"], donors, seed=spec.seed)
     if spec.kind == "gap_year":
-        model, _ = _load_model(args, params["model"], taxonomy)
         return ex.run_gap_year(model, taxonomy, histories, n_sample=params.get("n_sample", 100), seed=spec.seed)
     if spec.kind in ("prompting", "valid_title_rate"):
-        model, _ = _load_model(args, params["model"], taxonomy)
         if not isinstance(model, LmOccupationAdapter):
             raise CliError(f"{spec.kind} needs a token-lm checkpoint")
         if spec.kind == "prompting":
             return ex.run_prompting_arms(model, ds, k_grid=params["k_grid"], seed=spec.seed)
         return ex.run_valid_title_rate(model, histories, seed=spec.seed, n_prompts=params.get("n_prompts", 200))
-    if spec.kind == "numeric_titles":
-        return _run_numeric_titles_cli(spec, params, taxonomy, ds)
     raise CliError(f"unhandled experiment kind {spec.kind}")
+
+
+# the LM spec keys a numeric_titles spec may set, with the experiment's defaults
+_NUMERIC_TITLES_LM = {"d_model": 48, "n_layers": 2, "epochs": 3, "vocab_size": 700, "lr": 3e-3, "batch": 8}
 
 
 def _run_numeric_titles_cli(spec, params: dict, taxonomy, ds) -> list[dict]:
     if ds.split_labels is None:
         raise CliError("numeric_titles needs a dataset with split labels")
     nmap = NumericTitleMap.build(taxonomy, seed=params.get("map_seed", spec.seed))
-    codec_literal = TemplateCodec(taxonomy, TemplateConfig(dataset_tag=params.get("tag", "SYNTH")))
-    codec_numeric = TemplateCodec(
-        taxonomy, TemplateConfig(dataset_tag=params.get("tag", "SYNTH"), numeric_titles=True), nmap
-    )
-    d_model = params.get("d_model", 48)
-    epochs = params.get("epochs", 3)
-    vocab_target = params.get("vocab_size", 700)
+    tag = params.get("tag", "SYNTH")
+    codec_literal = TemplateCodec(taxonomy, TemplateConfig(dataset_tag=tag))
+    codec_numeric = TemplateCodec(taxonomy, TemplateConfig(dataset_tag=tag, numeric_titles=True), nmap)
+    lm_spec = {key: params.get(key, default) for key, default in _NUMERIC_TITLES_LM.items()}
+    train, valid, test = ds.split("train"), ds.split("valid"), ds.split("test")
 
-    def lm_trainer(codec, texts_tr, texts_va, seed):
-        continuations = [codec.title_continuation(c) for c in taxonomy.codes()]
-        vocab = train_template_vocab(list(texts_tr), continuations, vocab_target)
-        ctx = max(len(s) for s in vocab.encode_batch(list(texts_tr) + list(texts_va))) + 32
-        lm = TokenLM(
-            TokenLmConfig(vocab_size=vocab.size, d_model=d_model, n_layers=2, n_heads=2, context=ctx),
-            seed=seed % (2**31),
-        )
-        train_token_lm(
-            lm,
-            vocab,
-            list(texts_tr),
-            list(texts_va),
-            OptimizerConfig(
-                lr_schedule=LrSchedule(kind="linear_decay", peak=params.get("lr", 3e-3)),
-                max_epochs=epochs,
-                batch_sequences=params.get("batch", 8),
-                seed=spec.seed,
-            ),
-        )
-        return LmOccupationAdapter(lm, vocab, codec)
+    def lm_trainer(codec, seed):
+        return factory.fit("lm", {**lm_spec, "codec": codec}, taxonomy, train, valid, seed, held_out=test)[0]
 
     return ex.run_numeric_titles(ds, lm_trainer, codec_literal, codec_numeric, seed=spec.seed)
 

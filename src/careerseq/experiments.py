@@ -37,16 +37,18 @@ from .taxonomy import OccupationTaxonomy
 from .template import TemplateCodec
 from .training import derive_seed
 
-EXPERIMENT_KINDS = (
-    "data_mix",
-    "add_other_sources",
-    "history_truncation",
-    "covariate_randomization",
-    "numeric_titles",
-    "prompting",
-    "valid_title_rate",
-    "gap_year",
-)
+# every experiment kind, with the spec parameters it requires
+_REQUIRED = {
+    "data_mix": ("p_grid",),
+    "add_other_sources": ("base", "p_grid"),
+    "history_truncation": (),
+    "covariate_randomization": ("field_sets",),
+    "numeric_titles": (),
+    "prompting": ("k_grid",),
+    "valid_title_rate": (),
+    "gap_year": (),
+}
+EXPERIMENT_KINDS = tuple(_REQUIRED)
 
 STATIC_FIELDS = ("gender", "ethnicity", "region", "birth_year")
 
@@ -64,16 +66,6 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ExperimentError(f"unknown experiment kind {self.kind!r}")
-        _REQUIRED = {
-            "data_mix": ("p_grid",),
-            "add_other_sources": ("base", "p_grid"),
-            "history_truncation": (),
-            "covariate_randomization": ("field_sets",),
-            "numeric_titles": (),
-            "prompting": ("k_grid",),
-            "valid_title_rate": (),
-            "gap_year": (),
-        }
         missing = [k for k in _REQUIRED[self.kind] if k not in self.params]
         if missing:
             raise ExperimentError(f"{self.kind} spec missing parameters: {missing}")
@@ -118,22 +110,23 @@ def run_data_mix(
             sample = [pool[i] for i in idx]
         model = trainer(sample, derive_seed(seed, "mix-fit", p))
         for name, ds in datasets.items():
-            scores = score_model(model, ds.split("test"), ds.taxonomy)
-            pair = bootstrap_pair(
-                perplexity, baselines[name], scores, replace(bootstrap, seed=derive_seed(seed, "se", name))
-            )
-            rows.append(
-                {
-                    "p": p,
-                    "eval_dataset": name,
-                    "n_train_individuals": len(sample),
-                    "perplexity": pair.point_b,
-                    "se": pair.se_b,
-                    "diff_vs_baseline": pair.diff,
-                    "diff_se": pair.se_diff,
-                }
-            )
+            rows.append(_mix_row(p, name, sample, model, baselines[name], ds, bootstrap, seed))
     return rows
+
+
+def _mix_row(p, name: str, train: list, model, baseline: TransitionScores, ds: Dataset, bootstrap, seed: int) -> dict:
+    """``model``, trained on ``train``, against the baseline on dataset ``name``'s test split."""
+    scores = score_model(model, ds.split("test"), ds.taxonomy)
+    pair = bootstrap_pair(perplexity, baseline, scores, replace(bootstrap, seed=derive_seed(seed, "se", name)))
+    return {
+        "p": p,
+        "eval_dataset": name,
+        "n_train_individuals": len(train),
+        "perplexity": pair.point_b,
+        "se": pair.se_b,
+        "diff_vs_baseline": pair.diff,
+        "diff_se": pair.se_diff,
+    }
 
 
 def run_add_other_sources(
@@ -165,21 +158,7 @@ def run_add_other_sources(
         idx = rng.choice(len(others), size=n_extra, replace=False)
         train = base_train + [others[i] for i in idx]
         model = trainer(train, derive_seed(seed, "add-fit", p))
-        scores = score_model(model, base_ds.split("test"), base_ds.taxonomy)
-        pair = bootstrap_pair(
-            perplexity, baseline_scores, scores, replace(bootstrap, seed=derive_seed(seed, "se", base))
-        )
-        rows.append(
-            {
-                "p": p,
-                "eval_dataset": base,
-                "n_train_individuals": len(train),
-                "perplexity": pair.point_b,
-                "se": pair.se_b,
-                "diff_vs_baseline": pair.diff,
-                "diff_se": pair.se_diff,
-            }
-        )
+        rows.append(_mix_row(p, base, train, model, baseline_scores, base_ds, bootstrap, seed))
     return rows
 
 
@@ -312,7 +291,7 @@ def run_covariate_randomization(
 
 def run_numeric_titles(
     dataset: Dataset,
-    lm_trainer: Callable[[TemplateCodec, Sequence[str], Sequence[str], int], LmOccupationAdapter],
+    lm_trainer: Callable[[TemplateCodec, int], LmOccupationAdapter],
     codec_literal,
     codec_numeric,
     seed: int = 0,
@@ -320,19 +299,14 @@ def run_numeric_titles(
 ) -> list[dict]:
     """Train one LM on literal-title templates and one on numeric-title
     templates, then evaluate each on its own rendering of the same test
-    transitions. ``lm_trainer(codec, train_texts, valid_texts, seed)``
-    returns an adapter that renders with ``codec``. Emits the paired
+    transitions. ``lm_trainer(codec, seed)`` returns an adapter trained on
+    the dataset's train split rendered with ``codec``. Emits the paired
     perplexity gap with the published reference delta printed as an
     annotation."""
-    train, valid, test = dataset.split("train"), dataset.split("valid"), dataset.split("test")
+    test = dataset.split("test")
     scores_by_mode = {}
     for mode, codec in (("literal", codec_literal), ("numeric", codec_numeric)):
-        adapter = lm_trainer(
-            codec,
-            [codec.render_full(h) for h in train],
-            [codec.render_full(h) for h in valid],
-            derive_seed(seed, "lm", mode),
-        )
+        adapter = lm_trainer(codec, derive_seed(seed, "lm", mode))
         scores_by_mode[mode] = score_model(adapter, test, dataset.taxonomy)
     if not np.array_equal(scores_by_mode["literal"].individual_ids, scores_by_mode["numeric"].individual_ids):
         raise ExperimentError("literal and numeric runs scored different transitions")

@@ -50,7 +50,7 @@ from ..autograd import softmax_np
 from ..corpus import CareerHistory
 from ..template import TemplateCodec
 from ..tokenizer import Vocabulary, title_prefix_match
-from .token_lm import ContextOverflowError, TokenLM
+from .token_lm import ContextOverflowError, TokenLM, save_token_lm
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,10 @@ class LmOccupationAdapter:
         self.codec = codec
         self.taxonomy = codec.taxonomy
         self.forward_calls = 0
+
+    def save(self, path) -> None:
+        """A token-LM checkpoint; the codec is not saved."""
+        save_token_lm(self.lm, self.vocab, path)
 
     # ------------------------------------------------------------- helpers
 

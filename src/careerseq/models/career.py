@@ -274,11 +274,16 @@ class CareerModel:
 
     @classmethod
     def load(cls, path, taxonomy: OccupationTaxonomy) -> "CareerModel":
-        kind, params, config = load_checkpoint(path)
+        return cls.from_checkpoint(load_checkpoint(path), path, taxonomy)
+
+    @classmethod
+    def from_checkpoint(cls, checkpoint: tuple, path, taxonomy: OccupationTaxonomy) -> "CareerModel":
+        """The model in ``checkpoint``, which ``load_checkpoint(path)`` returned."""
+        kind, params, config = checkpoint
         if kind != "career":
             raise ValueError(f"checkpoint kind {kind!r} is not a career model")
         if "year_range" in config:
-            config["year_range"] = tuple(config["year_range"])
+            config = {**config, "year_range": tuple(config["year_range"])}
         model = cls(config_of(CareerConfig, config, path), taxonomy, seed=0)
         model.params = {k: v.astype(np.float32) for k, v in params.items()}
         return model

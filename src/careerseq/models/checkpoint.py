@@ -3,7 +3,9 @@
 A checkpoint is a directory holding ``manifest.json`` plus one raw
 little-endian float32 tensor file per named parameter under ``params/``.
 The manifest records each tensor's shape and the sha256 of its file; loading
-verifies both, and the manifest's config hash.
+verifies both, and the manifest's config hash. A save writes beside its path
+and then moves into place, so a crash never leaves a manifest that disagrees
+with its tensors.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -27,24 +31,44 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def save_checkpoint(path, kind: str, params: dict[str, np.ndarray], config: dict) -> None:
+def check_replaceable(path) -> None:
+    """Raise unless ``path`` is absent, an empty directory or a checkpoint, which a save replaces."""
     root = Path(path)
-    (root / "params").mkdir(parents=True, exist_ok=True)
-    sha256 = {}
-    for name, arr in params.items():
-        raw = arr.astype("<f4").tobytes()
-        (root / "params" / f"{_safe_name(name)}.f32").write_bytes(raw)
-        sha256[name] = hashlib.sha256(raw).hexdigest()
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "config": config,
-        "config_hash": config_hash(config),
-        "params": {name: list(arr.shape) for name, arr in params.items()},
-        "sha256": sha256,
-    }
-    with open(root / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    if root.exists() and not (root / "manifest.json").is_file() and not (root.is_dir() and not any(root.iterdir())):
+        raise CheckpointError(f"{path} exists and is not a checkpoint directory; not replacing it")
+
+
+def save_checkpoint(path, kind: str, params: dict[str, np.ndarray], config: dict, extras: Optional[dict] = None) -> None:
+    """Write the checkpoint, and each ``extras`` file by its writer, beside ``path``; then move it there."""
+    root = Path(path).resolve()
+    check_replaceable(root)
+    staging, retired = (root.with_name(f".{root.name}.{os.getpid()}.{end}") for end in ("new", "old"))
+    shutil.rmtree(staging, ignore_errors=True)
+    try:
+        (staging / "params").mkdir(parents=True)
+        sha256 = {}
+        for name, arr in params.items():
+            raw = arr.astype("<f4").tobytes()
+            (staging / "params" / f"{_safe_name(name)}.f32").write_bytes(raw)
+            sha256[name] = hashlib.sha256(raw).hexdigest()
+        manifest = {
+            "format_version": FORMAT_VERSION,
+            "kind": kind,
+            "config": config,
+            "config_hash": config_hash(config),
+            "params": {name: list(arr.shape) for name, arr in params.items()},
+            "sha256": sha256,
+        }
+        with open(staging / "manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+        for name, write in (extras or {}).items():
+            write(staging / name)
+        if root.exists():
+            root.rename(retired)
+        staging.rename(root)
+        shutil.rmtree(retired, ignore_errors=True)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)  # left only when a write failed
 
 
 def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray], dict]:

@@ -70,16 +70,17 @@ class EmpiricalModel:
     # ------------------------------------------------------------------ IO
 
     def save(self, path) -> None:
-        save_checkpoint(
-            path,
-            kind="empirical",
-            params={"count_pair": self.count_pair.astype(np.float32)},
-            config=asdict(EmpiricalConfig(self.taxonomy.size, self.normalized)),
-        )
+        config = asdict(EmpiricalConfig(self.taxonomy.size, self.normalized))
+        save_checkpoint(path, "empirical", {"count_pair": self.count_pair.astype(np.float32)}, config)
 
     @classmethod
     def load(cls, path, taxonomy: OccupationTaxonomy) -> "EmpiricalModel":
-        kind, params, config = load_checkpoint(path)
+        return cls.from_checkpoint(load_checkpoint(path), path, taxonomy)
+
+    @classmethod
+    def from_checkpoint(cls, checkpoint: tuple, path, taxonomy: OccupationTaxonomy) -> "EmpiricalModel":
+        """The model in ``checkpoint``, which ``load_checkpoint(path)`` returned."""
+        kind, params, config = checkpoint
         if kind != "empirical":
             raise ValueError(f"checkpoint kind {kind!r} is not an empirical model")
         cfg = config_of(EmpiricalConfig, config, path)

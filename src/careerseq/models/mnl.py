@@ -31,38 +31,32 @@ class Featurizer:
 class PrevOccupationFeaturizer(Featurizer):
     """One-hot of the previous occupation, with a slot for the null state at t=1."""
 
+    name = "prev_onehot"
+
     def __init__(self, taxonomy: OccupationTaxonomy):
         self.taxonomy = taxonomy
-        self.name = "prev_onehot"
         self.dim = taxonomy.size + 1
 
     def transform(self, history: CareerHistory, t: int) -> np.ndarray:
         x = np.zeros(self.dim)
-        if t == 1:
-            x[-1] = 1.0
-        else:
-            x[self.taxonomy.index_of(history.records[t - 2].occupation)] = 1.0
+        x[self.taxonomy.size if t == 1 else self.taxonomy.index_of(history.records[t - 2].occupation)] = 1.0
         return x
 
 
-class PrevCovariatesFeaturizer(Featurizer):
+class PrevCovariatesFeaturizer(PrevOccupationFeaturizer):
     """Previous-occupation one-hot plus static covariates, education, and a
     scaled calendar-year column."""
 
+    name = "prev_covariates"
+
     def __init__(self, taxonomy: OccupationTaxonomy, year_range: tuple[int, int] = (1979, 2022)):
-        self.taxonomy = taxonomy
+        super().__init__(taxonomy)
         self.year_range = year_range
-        self.name = "prev_covariates"
-        self.dim = (taxonomy.size + 1) + len(GENDERS) + len(ETHNICITIES) + len(REGIONS) + len(EDUCATIONS) + 1
+        self.dim += len(GENDERS) + len(ETHNICITIES) + len(REGIONS) + len(EDUCATIONS) + 1
 
     def transform(self, history: CareerHistory, t: int) -> np.ndarray:
-        k = self.taxonomy.size
-        x = np.zeros(self.dim)
-        if t == 1:
-            x[k] = 1.0
-        else:
-            x[self.taxonomy.index_of(history.records[t - 2].occupation)] = 1.0
-        off = k + 1
+        x = super().transform(history, t)
+        off = self.taxonomy.size + 1
         x[off + GENDERS.index(history.static.gender)] = 1.0
         off += len(GENDERS)
         x[off + ETHNICITIES.index(history.static.ethnicity)] = 1.0
@@ -81,10 +75,11 @@ class EmbeddingFeaturizer(Featurizer):
     """Wraps an external embedding function (e.g. a language model's final
     hidden state over the rendered prompt)."""
 
+    name = "embedding"
+
     def __init__(self, fn: Callable[[CareerHistory, int], np.ndarray], dim: int, add_intercept: bool = True):
         self.fn = fn
         self.add_intercept = add_intercept
-        self.name = "embedding"
         self.dim = dim + (1 if add_intercept else 0)
 
     def transform(self, history: CareerHistory, t: int) -> np.ndarray:
@@ -171,16 +166,17 @@ class MnlModel:
     # ------------------------------------------------------------------- IO
 
     def save(self, path) -> None:
-        save_checkpoint(
-            path,
-            kind="mnl",
-            params={"weights": self.weights.astype(np.float32)},
-            config=asdict(MnlConfig(self.taxonomy.size, self.featurizer.name, self.featurizer.dim, self.reg)),
-        )
+        config = asdict(MnlConfig(self.taxonomy.size, self.featurizer.name, self.featurizer.dim, self.reg))
+        save_checkpoint(path, "mnl", {"weights": self.weights.astype(np.float32)}, config)
 
     @classmethod
     def load(cls, path, featurizer: Featurizer, taxonomy: OccupationTaxonomy) -> "MnlModel":
-        kind, params, config = load_checkpoint(path)
+        return cls.from_checkpoint(load_checkpoint(path), path, featurizer, taxonomy)
+
+    @classmethod
+    def from_checkpoint(cls, checkpoint: tuple, path, featurizer: Featurizer, taxonomy: OccupationTaxonomy) -> "MnlModel":
+        """The model in ``checkpoint``, which ``load_checkpoint(path)`` returned."""
+        kind, params, config = checkpoint
         if kind != "mnl":
             raise ValueError(f"checkpoint kind {kind!r} is not an MNL model")
         cfg = config_of(MnlConfig, config, path)

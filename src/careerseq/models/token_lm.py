@@ -300,12 +300,16 @@ def collate_token_batch(token_lists: list[list[int]], pad_id: int) -> dict:
 
 
 def save_token_lm(model: TokenLM, vocab: Vocabulary, path) -> None:
-    save_checkpoint(path, kind="token_lm", params=model.params, config=asdict(model.config))
-    vocab.dump_text(Path(path) / "vocab.txt")
+    save_checkpoint(path, "token_lm", model.params, asdict(model.config), extras={"vocab.txt": vocab.dump_text})
 
 
 def load_token_lm(path) -> tuple[TokenLM, Vocabulary]:
-    kind, params, config = load_checkpoint(path)
+    return token_lm_from_checkpoint(load_checkpoint(path), path)
+
+
+def token_lm_from_checkpoint(checkpoint: tuple, path) -> tuple[TokenLM, Vocabulary]:
+    """The model in ``checkpoint = load_checkpoint(path)`` and the vocabulary saved beside it."""
+    kind, params, config = checkpoint
     if kind != "token_lm":
         raise ValueError(f"checkpoint kind {kind!r} is not a token LM")
     model = TokenLM(config_of(TokenLmConfig, config, path), seed=0)
@@ -313,5 +317,4 @@ def load_token_lm(path) -> tuple[TokenLM, Vocabulary]:
     vocab_path = Path(path) / "vocab.txt"
     if not vocab_path.is_file():
         raise CheckpointError(f"no vocab.txt under {path}")
-    vocab = Vocabulary.load_text(vocab_path)
-    return model, vocab
+    return model, Vocabulary.load_text(vocab_path)

@@ -3,6 +3,7 @@ import io
 import json
 import shutil
 
+import numpy as np
 import pytest
 from conftest import career_histories
 from hypothesis import given, settings
@@ -10,9 +11,22 @@ from hypothesis import strategies as st
 
 from careerseq.cli import main
 from careerseq.corpus import BIRTH_YEAR_WINDOW, load_jsonl
-from careerseq.evaluation import perplexity, read_stamped_csv, score_model
+from careerseq.evaluation import move_auc, mover_perplexity, perplexity, read_stamped_csv, score_model
 from careerseq.experiments import write_experiment_output
-from careerseq.models import CareerModel, CheckpointError, EmpiricalModel, config_hash, load_checkpoint, load_token_lm
+from careerseq.models import (
+    CareerModel,
+    CheckpointError,
+    EmbeddingFeaturizer,
+    EmpiricalModel,
+    MnlModel,
+    PrevCovariatesFeaturizer,
+    PrevOccupationFeaturizer,
+    config_hash,
+    load_checkpoint,
+    load_token_lm,
+    save_checkpoint,
+)
+from careerseq.models import career, checkpoint, empirical, factory, mnl, token_lm
 from careerseq.synthetic import SyntheticConfig, build_params
 from careerseq.taxonomy import OccupationTaxonomy, build_default_taxonomy
 from careerseq.template import HEADER_LINE, TemplateCodec, TemplateConfig
@@ -427,15 +441,115 @@ class TestTrainEval:
         assert main(["train", "empirical", "--data", str(d["split"]), "--taxonomy", str(d["tax"]),
                      "--out", str(d["dir"] / "emp"), "--seed", "1", "--reg", "0", "--preset", "toy"]) == 0
 
-    def test_mnl_eval_rejected_with_guidance(self, pipeline, capsys):
+    @pytest.mark.parametrize("featurizer, cls", [("prev", PrevOccupationFeaturizer),
+                                                 ("prev_covariates", PrevCovariatesFeaturizer)])
+    def test_mnl_checkpoint_evaluates(self, pipeline, featurizer, cls):
+        """eval rebuilds an MNL with the featurizer its manifest names: the
+        output is byte-stable and holds the library's scores."""
         d = pipeline
-        ckpt = d["dir"] / "mnl"
-        assert main(["train", "mnl", "--data", str(d["split"]), "--taxonomy", str(d["tax"]),
-                     "--out", str(ckpt), "--seed", "1", "--epochs", "30"]) == 0
-        code = main(["eval", "--data", str(d["split"]), "--taxonomy", str(d["tax"]),
-                     "--model-a", str(ckpt), "--out", str(d["dir"] / "x"), "--seed", "1"])
-        assert code == 2
-        assert "featurizer" in capsys.readouterr().err
+        common = ["--data", str(d["split"]), "--taxonomy", str(d["tax"]), "--seed", "1"]
+        ckpt, emp = d["dir"] / "mnl", d["dir"] / "emp"
+        assert main(["train", "mnl", *common, "--out", str(ckpt), "--epochs", "30", "--featurizer", featurizer]) == 0
+        assert main(["train", "empirical", *common, "--out", str(emp)]) == 0
+        outputs = []
+        for name in ("e1", "e2"):
+            out = d["dir"] / name
+            assert main(["eval", *common, "--model-a", str(ckpt), "--model-b", str(emp), "--bootstrap", "10",
+                         "--out", str(out)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+        taxonomy = OccupationTaxonomy.load_csv(d["tax"])
+        scores = score_model(MnlModel.load(ckpt, cls(taxonomy), taxonomy),
+                             load_jsonl(d["split"], taxonomy).split("test"), taxonomy)
+        _, rows, _ = read_stamped_csv(d["dir"] / "e1" / "metrics.csv")
+        got = {(r["metric"], r["filter"]): float(r["value"]) for r in rows if r["model"] == "model_a"}
+        assert got[("perplexity", "all")] == pytest.approx(perplexity(scores), rel=1e-10)
+        assert got[("perplexity", "movers")] == pytest.approx(mover_perplexity(scores).value, rel=1e-10)
+        assert got[("auc_move", "non-first")] == pytest.approx(move_auc(scores), rel=1e-10)
+
+    def test_eval_reads_each_checkpoint_once(self, pipeline, monkeypatch):
+        d = pipeline
+        common = ["--data", str(d["split"]), "--taxonomy", str(d["tax"]), "--seed", "1"]
+        small = ["--d-model", "8", "--n-layers", "1", "--epochs", "1"]
+        for kind, flags in (("empirical", []), ("mnl", ["--epochs", "5"]), ("career", small),
+                            ("lm", [*small, "--vocab-size", "300"])):
+            assert main(["train", kind, *common, "--out", str(d["dir"] / kind), *flags]) == 0
+        reads = []
+        real = checkpoint.load_checkpoint
+        for module in (factory, checkpoint, career, empirical, mnl, token_lm):
+            monkeypatch.setattr(module, "load_checkpoint", lambda path: reads.append(path) or real(path))
+        for kind in ("empirical", "mnl", "career", "lm"):
+            reads.clear()
+            assert main(["eval", *common, "--model-a", str(d["dir"] / kind), "--bootstrap", "2",
+                         "--out", str(d["dir"] / f"eval-{kind}")]) == 0
+            assert reads == [str(d["dir"] / kind)]
+
+    def test_mnl_checkpoint_with_an_embedding_featurizer_exits_two(self, pipeline, capsys):
+        d = pipeline
+        taxonomy = OccupationTaxonomy.load_csv(d["tax"])
+        ckpt = d["dir"] / "mnl-embedding"
+        MnlModel(EmbeddingFeaturizer(lambda h, t: np.zeros(3), 3), taxonomy).save(ckpt)
+        assert main(["eval", "--data", str(d["split"]), "--taxonomy", str(d["tax"]), "--model-a", str(ckpt),
+                     "--out", str(d["dir"] / "x"), "--seed", "1"]) == 2
+        assert "featurizer 'embedding'" in capsys.readouterr().err
+
+    def test_retraining_replaces_the_checkpoint(self, pipeline):
+        d = pipeline
+        common = ["--data", str(d["split"]), "--taxonomy", str(d["tax"]), "--seed", "1", "--out", str(d["dir"] / "ck")]
+        assert main(["train", "lm", *common, "--vocab-size", "300", "--d-model", "8", "--n-layers", "1",
+                     "--epochs", "1"]) == 0
+        assert (d["dir"] / "ck" / "vocab.txt").is_file()
+        assert main(["train", "empirical", *common]) == 0
+        files = sorted(str(f.relative_to(d["dir"] / "ck")) for f in (d["dir"] / "ck").rglob("*"))
+        assert files == ["manifest.json", "params", "params/count_pair.f32"]
+        assert sorted(f.name for f in d["dir"].iterdir() if f.name.startswith(".")) == []
+
+    @pytest.mark.parametrize("target", ["directory", "cwd", "file"])
+    def test_out_that_is_not_a_checkpoint_exits_two(self, pipeline, target, monkeypatch, capsys):
+        d = pipeline
+        work = d["dir"] / "work"
+        work.mkdir()
+        (work / "notes.txt").write_text("keep")
+        monkeypatch.chdir(work)
+        out = {"directory": str(work), "cwd": ".", "file": str(work / "notes.txt")}[target]
+        assert main(["train", "empirical", "--data", str(d["split"]), "--taxonomy", str(d["tax"]),
+                     "--out", out, "--seed", "1"]) == 2
+        assert "not a checkpoint directory" in capsys.readouterr().err
+        assert [f.name for f in work.iterdir()] == ["notes.txt"]
+        assert (work / "notes.txt").read_text() == "keep"
+
+
+class _Unwritable:
+    shape = (2,)
+
+    def astype(self, dtype):
+        raise OSError("disk full")
+
+
+def _fail_writing(path):
+    raise OSError("disk full")
+
+
+class TestAtomicSave:
+    @pytest.mark.parametrize("params, extras", [
+        ({"w": np.zeros(3), "v": _Unwritable()}, None),
+        ({"w": np.zeros(3)}, {"vocab.txt": _fail_writing}),
+    ], ids=["second-tensor", "extra-file"])
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, params, extras):
+        path = tmp_path / "ck"
+        save_checkpoint(path, "probe", {"w": np.ones(3)}, {"n": 1})
+        before = {f: f.read_bytes() for f in path.rglob("*") if f.is_file()}
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, "probe", params, {"n": 2}, extras=extras)
+        kind, loaded, config = load_checkpoint(path)
+        assert (kind, config) == ("probe", {"n": 1})
+        np.testing.assert_array_equal(loaded["w"], np.ones(3))
+        assert {f: f.read_bytes() for f in path.rglob("*") if f.is_file()} == before
+        assert [f.name for f in tmp_path.iterdir()] == ["ck"]
+
+    def test_empty_directory_is_replaced(self, tmp_path):
+        save_checkpoint(tmp_path, "probe", {"w": np.ones(2)}, {})
+        assert load_checkpoint(tmp_path)[0] == "probe"
 
 
 def _append_merge(ck, data):
@@ -554,6 +668,24 @@ class TestExperimentCommand:
         text = csvs[0].read_text()
         assert text.startswith("#careerseq-v1\n")
         assert "# config_hash=" in text
+
+
+    def test_numeric_titles_csv_is_byte_stable(self, tmp_path):
+        data, tax, split = tmp_path / "data.jsonl", tmp_path / "tax.csv", tmp_path / "split.jsonl"
+        assert main(["gen-data", "--out", str(data), "--taxonomy-out", str(tax), "--n", "60",
+                     "--taxonomy-size", "8", "--seed", "5"]) == 0
+        assert main(["split", "--in", str(data), "--taxonomy", str(tax), "--out", str(split), "--seed", "3"]) == 0
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"data": str(split), "taxonomy": str(tax), "d_model": 8, "epochs": 1,
+                                    "vocab_size": 300}))
+        tables = []
+        for name in ("r1", "r2"):
+            assert main(["experiment", "numeric_titles", "--spec", str(spec), "--out", str(tmp_path / name),
+                         "--seed", "4"]) == 0
+            tables.append([f.read_bytes() for f in sorted((tmp_path / name).glob("*/*.csv"))])
+        assert len(tables[0]) == 1 and tables[0] == tables[1]
+        _, rows, _ = read_stamped_csv(next((tmp_path / "r1").glob("*/*.csv")))
+        assert [r["mode"] for r in rows] == ["literal", "numeric", "numeric-minus-literal"]
 
 
 class TestReport:

@@ -152,7 +152,10 @@ def _family_world(structured: bool, seed: int):
     return split_dataset(ds, (0.7, 0.1, 0.2), seed=3), tax
 
 
-def _fit_adapter(codec, tax, texts_tr, texts_va, seed):
+def _fit_adapter(codec, ds, seed):
+    tax = ds.taxonomy
+    texts_tr = [codec.render_full(h) for h in ds.split("train")]
+    texts_va = [codec.render_full(h) for h in ds.split("valid")]
     conts = [codec.title_continuation(c) for c in tax.codes()]
     vocab = train_template_vocab(list(texts_tr), conts, 620)
     ctx = max(len(s) for s in vocab.encode_batch(list(texts_tr) + list(texts_va))) + 24
@@ -177,8 +180,8 @@ class TestNumericTitles:
         codec_l = TemplateCodec(tax, TemplateConfig())
         codec_n = TemplateCodec(tax, TemplateConfig(numeric_titles=True), nmap)
 
-        def trainer(codec, texts_tr, texts_va, seed):
-            return _fit_adapter(codec, tax, texts_tr, texts_va, seed)
+        def trainer(codec, seed):
+            return _fit_adapter(codec, ds, seed)
 
         rows = run_numeric_titles(ds, trainer, codec_l, codec_n, seed=7, bootstrap=BootstrapConfig(b=40, seed=1))
         by_mode = {r["mode"]: r for r in rows}
@@ -196,8 +199,8 @@ class TestNumericTitles:
         codec_l = TemplateCodec(tax, TemplateConfig())
         codec_n = TemplateCodec(tax, TemplateConfig(numeric_titles=True), nmap)
 
-        def trainer(codec, texts_tr, texts_va, seed):
-            return _fit_adapter(codec, tax, texts_tr, texts_va, seed)
+        def trainer(codec, seed):
+            return _fit_adapter(codec, ds, seed)
 
         rows = run_numeric_titles(ds, trainer, codec_l, codec_n, seed=7, bootstrap=BootstrapConfig(b=40, seed=1))
         gap = next(r for r in rows if r["mode"] == "numeric-minus-literal")
