@@ -23,7 +23,7 @@ from numpy._core import _multiarray_umath
 
 from . import evaluation as ev
 from . import experiments as ex
-from .corpus import Dataset, _history_to_obj, dump_jsonl, load_jsonl, read_jsonl, split_dataset, summarize
+from .corpus import Dataset, dump_jsonl, load_jsonl, split_dataset, summarize
 from .models import EmpiricalModel, LmOccupationAdapter, config_hash, factory
 from .models.checkpoint import check_replaceable
 from .synthetic import GeneratorParams, OracleModel, SyntheticConfig, generate_synthetic
@@ -313,7 +313,12 @@ def _codec_from_args(args, taxonomy, default_tag="SYNTH") -> TemplateCodec:
 
 def cmd_render(args) -> None:
     taxonomy = OccupationTaxonomy.load_csv(args.taxonomy)
-    ds = load_jsonl(args.inp, taxonomy) if args.inp else read_jsonl(sys.stdin, taxonomy, origin="<stdin>")
+    if args.inp:
+        ds = load_jsonl(args.inp, taxonomy)
+    else:
+        from .corpus import read_jsonl
+
+        ds = read_jsonl(sys.stdin, taxonomy, origin="<stdin>")
     histories = list(ds.individuals)
     if args.id is not None:
         histories = [h for h in histories if h.individual_id == args.id]
@@ -333,15 +338,24 @@ def cmd_parse(args) -> None:
     taxonomy = OccupationTaxonomy.load_csv(args.taxonomy)
     codec = _codec_from_args(args, taxonomy, default_tag=args.tag)
     text = open(args.inp, "r", encoding="utf-8").read() if args.inp else sys.stdin.read()
-    blocks = [b if b.endswith("\n") else b + "\n" for b in text.split("\n\n") if b.strip()]
-    histories = [codec.parse(block, individual_id=f"parsed-{i:04d}") for i, block in enumerate(blocks)]
+    blocks = [b for b in text.split("\n\n") if b.strip()]
+    histories = []
+    for i, block in enumerate(blocks):
+        if not block.endswith("\n"):
+            block += "\n"
+        histories.append(codec.parse(block, individual_id=f"parsed-{i:04d}"))
     ds = Dataset(taxonomy=taxonomy, individuals=tuple(histories))
     for h in ds.individuals:
+        from .corpus import _history_to_obj
+
         sys.stdout.write(json.dumps(_history_to_obj(h, None), separators=(",", ":")) + "\n")
 
 
-# train options that set a spec key of another name
-_OPTIONS_OF_KEY = {"pretrain": ("pretrain_data",), "codec": ("no_birth_year", "numeric_map")}
+# train options that set a spec key of another name; no option sets ``normalized``
+_OPTIONS_OF_KEY = {"pretrain": ("pretrain_data",), "codec": ("no_birth_year", "numeric_map"), "normalized": ()}
+
+# train options that must be positive when given
+_POSITIVE_OPTIONS = ("epochs", "lr", "batch", "d_model")
 
 
 def _options_read(kind: str, preset: str) -> set[str]:
@@ -368,7 +382,9 @@ def _train_spec(args, taxonomy) -> dict:
             spec[key] = _codec_from_args(args, taxonomy)
         elif key == "pretrain":
             spec[key] = load_jsonl(args.pretrain_data, taxonomy).individuals if args.pretrain_data else ()
-        elif getattr(args, key) is not None:
+        elif key not in _OPTIONS_OF_KEY and getattr(args, key) is not None:
+            if key in _POSITIVE_OPTIONS and getattr(args, key) <= 0:
+                raise CliError(f"--{key.replace('_', '-')} must be positive, got {getattr(args, key)}")
             spec[key] = getattr(args, key)
     return spec
 
@@ -390,10 +406,10 @@ def cmd_train(args) -> None:
             file=sys.stderr,
         )
     out = Path(args.out)
-    model.save(out)
-    if report is not None:
-        report.to_csv(out / "train_report.csv")
-        report.to_json(out / "train_report.json")
+    if report is None:
+        model.save(out)
+    else:  # the report moves into place with the checkpoint
+        model.save(out, extras={"train_report.csv": report.to_csv, "train_report.json": report.to_json})
     print(f"saved {args.model} checkpoint to {out}", file=sys.stderr)
 
 
@@ -425,7 +441,12 @@ def cmd_eval(args) -> None:
     out.mkdir(parents=True, exist_ok=True)
     bcfg = ev.BootstrapConfig(b=args.bootstrap, seed=args.seed)
     scores_a = ev.score_model(model_a, histories, taxonomy)
-    provenance = {"config_hash": hash_a, "seed": args.seed, "split": args.split, "bootstrap": args.bootstrap}
+    provenance = {
+        "config_hash": hash_a,
+        "seed": args.seed,
+        "split": args.split,
+        "bootstrap": args.bootstrap,
+    }
     calib = ev.calibration(scores_a)
     if model_b is not None:
         scores_b = ev.score_model(model_b, histories, taxonomy)
@@ -445,8 +466,17 @@ def cmd_eval(args) -> None:
 
 
 def _metric_row(args, bcfg: ev.BootstrapConfig, model: str, metric: str, filt: str, value, se="") -> dict:
-    values = (args.dataset_name, args.split, model, metric, filt, value, se, bcfg.b, args.seed)
-    return dict(zip(ev.METRICS_COLUMNS, values))
+    return {
+        "dataset": args.dataset_name,
+        "split": args.split,
+        "model": model,
+        "metric": metric,
+        "filter": filt,
+        "value": value,
+        "se": se,
+        "B": bcfg.b,
+        "seed": args.seed,
+    }
 
 
 def _metric_rows(
@@ -487,56 +517,74 @@ def cmd_experiment(args) -> None:
     print(f"wrote {csv_path}", file=sys.stderr)
 
 
+def _experiment_common(params, args):
+    taxonomy = OccupationTaxonomy.load_csv(params["taxonomy"])
+    ds = load_jsonl(params["data"], taxonomy)
+    return taxonomy, ds
+
+
 def _dispatch_experiment(spec: ex.ExperimentSpec, params: dict, args) -> list[dict]:
     if spec.kind in ("data_mix", "add_other_sources"):
+        datasets = {}
         taxonomy = OccupationTaxonomy.load_csv(params["taxonomy"])
-        datasets = {name: load_jsonl(path, taxonomy) for name, path in params["datasets"].items()}
+        for name, path in params["datasets"].items():
+            datasets[name] = load_jsonl(path, taxonomy)
 
         def trainer(histories, seed):
-            # experiments compare training sets, so the model must give proper
+            # experiments compare training sets, so the trainer must produce proper
             # distributions; the as-written variant inflates thin-count rows
-            model, _ = factory.fit("empirical", {}, taxonomy, histories, seed=seed)
-            model.normalized = True
-            return model
+            return factory.fit("empirical", {"normalized": True}, taxonomy, histories, seed=seed)[0]
 
         if spec.kind == "data_mix":
             return ex.run_data_mix(datasets, params["p_grid"], trainer, seed=spec.seed)
         return ex.run_add_other_sources(datasets, params["base"], params["p_grid"], trainer, seed=spec.seed)
-    taxonomy = OccupationTaxonomy.load_csv(params["taxonomy"])
-    ds = load_jsonl(params["data"], taxonomy)
-    if spec.kind == "numeric_titles":
-        return _run_numeric_titles_cli(spec, params, taxonomy, ds)
+    taxonomy, ds = _experiment_common(params, args)
     histories = ds.split("test") if ds.split_labels else list(ds.individuals)
-    model, _ = _load_model(args, params["model"], taxonomy)
     if spec.kind == "history_truncation":
-        grids = {key: params[key] for key in ("t_min_grid", "k_grid") if key in params}
-        return ex.run_history_truncation(model, taxonomy, histories, seed=spec.seed, **grids)
+        model, _ = _load_model(args, params["model"], taxonomy)
+        return ex.run_history_truncation(
+            model,
+            taxonomy,
+            histories,
+            t_min_grid=params.get("t_min_grid", (5, 10, 15, 20, 25)),
+            k_grid=params.get("k_grid", (5, 10, 15, 20, 25)),
+            seed=spec.seed,
+        )
     if spec.kind == "covariate_randomization":
+        model, _ = _load_model(args, params["model"], taxonomy)
         donors = ds.split("valid") if ds.split_labels else list(ds.individuals)
-        return ex.run_covariate_randomization(model, taxonomy, histories, params["field_sets"], donors, seed=spec.seed)
+        return ex.run_covariate_randomization(
+            model, taxonomy, histories, params["field_sets"], donors, seed=spec.seed
+        )
     if spec.kind == "gap_year":
+        model, _ = _load_model(args, params["model"], taxonomy)
         return ex.run_gap_year(model, taxonomy, histories, n_sample=params.get("n_sample", 100), seed=spec.seed)
     if spec.kind in ("prompting", "valid_title_rate"):
+        model, _ = _load_model(args, params["model"], taxonomy)
         if not isinstance(model, LmOccupationAdapter):
             raise CliError(f"{spec.kind} needs a token-lm checkpoint")
         if spec.kind == "prompting":
             return ex.run_prompting_arms(model, ds, k_grid=params["k_grid"], seed=spec.seed)
         return ex.run_valid_title_rate(model, histories, seed=spec.seed, n_prompts=params.get("n_prompts", 200))
+    if spec.kind == "numeric_titles":
+        return _run_numeric_titles_cli(spec, params, taxonomy, ds)
     raise CliError(f"unhandled experiment kind {spec.kind}")
 
 
 # the LM spec keys a numeric_titles spec may set, with the experiment's defaults
-_NUMERIC_TITLES_LM = {"d_model": 48, "n_layers": 2, "epochs": 3, "vocab_size": 700, "lr": 3e-3, "batch": 8}
+_NUMERIC_TITLES_LM = {"d_model": 48, "epochs": 3, "vocab_size": 700, "lr": 3e-3, "batch": 8}
 
 
 def _run_numeric_titles_cli(spec, params: dict, taxonomy, ds) -> list[dict]:
     if ds.split_labels is None:
         raise CliError("numeric_titles needs a dataset with split labels")
     nmap = NumericTitleMap.build(taxonomy, seed=params.get("map_seed", spec.seed))
-    tag = params.get("tag", "SYNTH")
-    codec_literal = TemplateCodec(taxonomy, TemplateConfig(dataset_tag=tag))
-    codec_numeric = TemplateCodec(taxonomy, TemplateConfig(dataset_tag=tag, numeric_titles=True), nmap)
+    codec_literal = TemplateCodec(taxonomy, TemplateConfig(dataset_tag=params.get("tag", "SYNTH")))
+    codec_numeric = TemplateCodec(
+        taxonomy, TemplateConfig(dataset_tag=params.get("tag", "SYNTH"), numeric_titles=True), nmap
+    )
     lm_spec = {key: params.get(key, default) for key, default in _NUMERIC_TITLES_LM.items()}
+    lm_spec["n_layers"] = 2
     train, valid, test = ds.split("train"), ds.split("valid"), ds.split("test")
 
     def lm_trainer(codec, seed):

@@ -37,18 +37,16 @@ from .taxonomy import OccupationTaxonomy
 from .template import TemplateCodec
 from .training import derive_seed
 
-# every experiment kind, with the spec parameters it requires
-_REQUIRED = {
-    "data_mix": ("p_grid",),
-    "add_other_sources": ("base", "p_grid"),
-    "history_truncation": (),
-    "covariate_randomization": ("field_sets",),
-    "numeric_titles": (),
-    "prompting": ("k_grid",),
-    "valid_title_rate": (),
-    "gap_year": (),
-}
-EXPERIMENT_KINDS = tuple(_REQUIRED)
+EXPERIMENT_KINDS = (
+    "data_mix",
+    "add_other_sources",
+    "history_truncation",
+    "covariate_randomization",
+    "numeric_titles",
+    "prompting",
+    "valid_title_rate",
+    "gap_year",
+)
 
 STATIC_FIELDS = ("gender", "ethnicity", "region", "birth_year")
 
@@ -66,6 +64,16 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ExperimentError(f"unknown experiment kind {self.kind!r}")
+        _REQUIRED = {
+            "data_mix": ("p_grid",),
+            "add_other_sources": ("base", "p_grid"),
+            "history_truncation": (),
+            "covariate_randomization": ("field_sets",),
+            "numeric_titles": (),
+            "prompting": ("k_grid",),
+            "valid_title_rate": (),
+            "gap_year": (),
+        }
         missing = [k for k in _REQUIRED[self.kind] if k not in self.params]
         if missing:
             raise ExperimentError(f"{self.kind} spec missing parameters: {missing}")
@@ -110,23 +118,22 @@ def run_data_mix(
             sample = [pool[i] for i in idx]
         model = trainer(sample, derive_seed(seed, "mix-fit", p))
         for name, ds in datasets.items():
-            rows.append(_mix_row(p, name, sample, model, baselines[name], ds, bootstrap, seed))
+            scores = score_model(model, ds.split("test"), ds.taxonomy)
+            pair = bootstrap_pair(
+                perplexity, baselines[name], scores, replace(bootstrap, seed=derive_seed(seed, "se", name))
+            )
+            rows.append(
+                {
+                    "p": p,
+                    "eval_dataset": name,
+                    "n_train_individuals": len(sample),
+                    "perplexity": pair.point_b,
+                    "se": pair.se_b,
+                    "diff_vs_baseline": pair.diff,
+                    "diff_se": pair.se_diff,
+                }
+            )
     return rows
-
-
-def _mix_row(p, name: str, train: list, model, baseline: TransitionScores, ds: Dataset, bootstrap, seed: int) -> dict:
-    """``model``, trained on ``train``, against the baseline on dataset ``name``'s test split."""
-    scores = score_model(model, ds.split("test"), ds.taxonomy)
-    pair = bootstrap_pair(perplexity, baseline, scores, replace(bootstrap, seed=derive_seed(seed, "se", name)))
-    return {
-        "p": p,
-        "eval_dataset": name,
-        "n_train_individuals": len(train),
-        "perplexity": pair.point_b,
-        "se": pair.se_b,
-        "diff_vs_baseline": pair.diff,
-        "diff_se": pair.se_diff,
-    }
 
 
 def run_add_other_sources(
@@ -158,7 +165,21 @@ def run_add_other_sources(
         idx = rng.choice(len(others), size=n_extra, replace=False)
         train = base_train + [others[i] for i in idx]
         model = trainer(train, derive_seed(seed, "add-fit", p))
-        rows.append(_mix_row(p, base, train, model, baseline_scores, base_ds, bootstrap, seed))
+        scores = score_model(model, base_ds.split("test"), base_ds.taxonomy)
+        pair = bootstrap_pair(
+            perplexity, baseline_scores, scores, replace(bootstrap, seed=derive_seed(seed, "se", base))
+        )
+        rows.append(
+            {
+                "p": p,
+                "eval_dataset": base,
+                "n_train_individuals": len(train),
+                "perplexity": pair.point_b,
+                "se": pair.se_b,
+                "diff_vs_baseline": pair.diff,
+                "diff_se": pair.se_diff,
+            }
+        )
     return rows
 
 

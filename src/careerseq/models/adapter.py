@@ -71,9 +71,9 @@ class LmOccupationAdapter:
         self.taxonomy = codec.taxonomy
         self.forward_calls = 0
 
-    def save(self, path) -> None:
+    def save(self, path, extras: Optional[dict] = None) -> None:
         """A token-LM checkpoint; the codec is not saved."""
-        save_token_lm(self.lm, self.vocab, path)
+        save_token_lm(self.lm, self.vocab, path, extras)
 
     # ------------------------------------------------------------- helpers
 

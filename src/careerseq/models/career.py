@@ -267,10 +267,10 @@ class CareerModel:
 
     # ------------------------------------------------------------------- IO
 
-    def save(self, path) -> None:
+    def save(self, path, extras: Optional[dict] = None) -> None:
         cfg = asdict(self.config)
         cfg["year_range"] = list(self.config.year_range)
-        save_checkpoint(path, kind="career", params=self.params, config=cfg)
+        save_checkpoint(path, kind="career", params=self.params, config=cfg, extras=extras)
 
     @classmethod
     def load(cls, path, taxonomy: OccupationTaxonomy) -> "CareerModel":

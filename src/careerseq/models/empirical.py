@@ -70,8 +70,12 @@ class EmpiricalModel:
     # ------------------------------------------------------------------ IO
 
     def save(self, path) -> None:
-        config = asdict(EmpiricalConfig(self.taxonomy.size, self.normalized))
-        save_checkpoint(path, "empirical", {"count_pair": self.count_pair.astype(np.float32)}, config)
+        save_checkpoint(
+            path,
+            kind="empirical",
+            params={"count_pair": self.count_pair.astype(np.float32)},
+            config=asdict(EmpiricalConfig(self.taxonomy.size, self.normalized)),
+        )
 
     @classmethod
     def load(cls, path, taxonomy: OccupationTaxonomy) -> "EmpiricalModel":

@@ -22,11 +22,12 @@ from .empirical import EmpiricalModel
 from .mnl import MnlConfig, MnlFitConfig, MnlModel, PrevCovariatesFeaturizer, PrevOccupationFeaturizer
 from .token_lm import TokenLM, TokenLmConfig, token_lm_from_checkpoint
 
-# Every key a kind's spec may hold, with its default. ``epochs`` counts
+# Every key a kind's spec may hold, with its default. ``normalized`` picks
+# the empirical model's proper-distribution variant; ``epochs`` counts
 # full-batch iterations for the MNL; ``pretrain`` holds career histories;
 # ``codec`` renders the LM's texts (None: the default template).
 DEFAULTS = {
-    "empirical": {},
+    "empirical": {"normalized": False},
     "mnl": {"featurizer": "prev_covariates", "reg": 0.0, "epochs": 2000},
     "career": {"preset": "toy", "d_model": 64, "n_layers": 4, "epochs": 10, "lr": 1e-3, "batch": 32, "pretrain": ()},
     "lm": {"codec": None, "vocab_size": 2048, "context": 512, "d_model": 128, "n_layers": 4, "epochs": 3, "lr": 1e-3,
@@ -63,7 +64,7 @@ def fit(
         raise ValueError(f"a {kind} spec does not read {sorted(unread)}")
     s = {**DEFAULTS[kind], **spec}
     if kind == "empirical":
-        return EmpiricalModel(taxonomy).fit(train), None
+        return EmpiricalModel(taxonomy, normalized=s["normalized"]).fit(train), None
     if kind == "mnl":
         model = MnlModel(FEATURIZERS[s["featurizer"]](taxonomy), taxonomy, reg=s["reg"])
         return model.fit(train, MnlFitConfig(max_iters=s["epochs"], seed=seed)), None

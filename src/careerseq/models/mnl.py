@@ -39,24 +39,32 @@ class PrevOccupationFeaturizer(Featurizer):
 
     def transform(self, history: CareerHistory, t: int) -> np.ndarray:
         x = np.zeros(self.dim)
-        x[self.taxonomy.size if t == 1 else self.taxonomy.index_of(history.records[t - 2].occupation)] = 1.0
+        if t == 1:
+            x[-1] = 1.0
+        else:
+            x[self.taxonomy.index_of(history.records[t - 2].occupation)] = 1.0
         return x
 
 
-class PrevCovariatesFeaturizer(PrevOccupationFeaturizer):
+class PrevCovariatesFeaturizer(Featurizer):
     """Previous-occupation one-hot plus static covariates, education, and a
     scaled calendar-year column."""
 
     name = "prev_covariates"
 
     def __init__(self, taxonomy: OccupationTaxonomy, year_range: tuple[int, int] = (1979, 2022)):
-        super().__init__(taxonomy)
+        self.taxonomy = taxonomy
         self.year_range = year_range
-        self.dim += len(GENDERS) + len(ETHNICITIES) + len(REGIONS) + len(EDUCATIONS) + 1
+        self.dim = (taxonomy.size + 1) + len(GENDERS) + len(ETHNICITIES) + len(REGIONS) + len(EDUCATIONS) + 1
 
     def transform(self, history: CareerHistory, t: int) -> np.ndarray:
-        x = super().transform(history, t)
-        off = self.taxonomy.size + 1
+        k = self.taxonomy.size
+        x = np.zeros(self.dim)
+        if t == 1:
+            x[k] = 1.0
+        else:
+            x[self.taxonomy.index_of(history.records[t - 2].occupation)] = 1.0
+        off = k + 1
         x[off + GENDERS.index(history.static.gender)] = 1.0
         off += len(GENDERS)
         x[off + ETHNICITIES.index(history.static.ethnicity)] = 1.0
@@ -166,8 +174,12 @@ class MnlModel:
     # ------------------------------------------------------------------- IO
 
     def save(self, path) -> None:
-        config = asdict(MnlConfig(self.taxonomy.size, self.featurizer.name, self.featurizer.dim, self.reg))
-        save_checkpoint(path, "mnl", {"weights": self.weights.astype(np.float32)}, config)
+        save_checkpoint(
+            path,
+            kind="mnl",
+            params={"weights": self.weights.astype(np.float32)},
+            config=asdict(MnlConfig(self.taxonomy.size, self.featurizer.name, self.featurizer.dim, self.reg)),
+        )
 
     @classmethod
     def load(cls, path, featurizer: Featurizer, taxonomy: OccupationTaxonomy) -> "MnlModel":

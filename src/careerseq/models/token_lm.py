@@ -299,8 +299,10 @@ def collate_token_batch(token_lists: list[list[int]], pad_id: int) -> dict:
 # ----------------------------------------------------------------------- IO
 
 
-def save_token_lm(model: TokenLM, vocab: Vocabulary, path) -> None:
-    save_checkpoint(path, "token_lm", model.params, asdict(model.config), extras={"vocab.txt": vocab.dump_text})
+def save_token_lm(model: TokenLM, vocab: Vocabulary, path, extras: Optional[dict] = None) -> None:
+    """Save ``model`` with its vocabulary and each ``extras`` file, as :func:`save_checkpoint` writes them."""
+    extras = {"vocab.txt": vocab.dump_text, **(extras or {})}
+    save_checkpoint(path, kind="token_lm", params=model.params, config=asdict(model.config), extras=extras)
 
 
 def load_token_lm(path) -> tuple[TokenLM, Vocabulary]:
@@ -317,4 +319,5 @@ def token_lm_from_checkpoint(checkpoint: tuple, path) -> tuple[TokenLM, Vocabula
     vocab_path = Path(path) / "vocab.txt"
     if not vocab_path.is_file():
         raise CheckpointError(f"no vocab.txt under {path}")
-    return model, Vocabulary.load_text(vocab_path)
+    vocab = Vocabulary.load_text(vocab_path)
+    return model, vocab

@@ -518,6 +518,33 @@ class TestTrainEval:
         assert [f.name for f in work.iterdir()] == ["notes.txt"]
         assert (work / "notes.txt").read_text() == "keep"
 
+    @pytest.mark.parametrize("start", ["empty", "checkpoint"])
+    def test_out_dot_replaces_the_working_directory(self, pipeline, start, monkeypatch):
+        """``--out .`` from an empty directory or from inside a checkpoint
+        writes the checkpoint and its train report there."""
+        d = pipeline
+        work = d["dir"] / "work"
+        work.mkdir()
+        if start == "checkpoint":
+            save_checkpoint(work, "probe", {"w": np.ones(2)}, {})
+        monkeypatch.chdir(work)
+        assert main(["train", "career", "--data", str(d["split"]), "--taxonomy", str(d["tax"]), "--out", ".",
+                     "--seed", "1", "--d-model", "8", "--n-layers", "1", "--epochs", "1"]) == 0
+        assert sorted(f.name for f in work.iterdir()) == ["manifest.json", "params", "train_report.csv",
+                                                          "train_report.json"]
+        assert load_checkpoint(work)[0] == "career"
+        assert sorted(f.name for f in d["dir"].iterdir() if f.name.startswith(".")) == []
+
+    @pytest.mark.parametrize("kind, flag, value", [("career", "--batch", "0"), ("lm", "--d-model", "0"),
+                                                   ("mnl", "--epochs", "0"), ("career", "--lr", "-0.1")])
+    def test_option_that_is_not_positive_exits_two(self, pipeline, kind, flag, value, capsys):
+        d = pipeline
+        out = d["dir"] / "ck"
+        assert main(["train", kind, "--data", str(d["split"]), "--taxonomy", str(d["tax"]), "--out", str(out),
+                     "--seed", "1", flag, value]) == 2
+        assert f"{flag} must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class _Unwritable:
     shape = (2,)
