@@ -355,7 +355,7 @@ def cmd_parse(args) -> None:
 _OPTIONS_OF_KEY = {"pretrain": ("pretrain_data",), "codec": ("no_birth_year", "numeric_map"), "normalized": ()}
 
 # train options that must be positive when given
-_POSITIVE_OPTIONS = ("epochs", "lr", "batch", "d_model")
+_POSITIVE_OPTIONS = ("epochs", "lr", "batch", "d_model", "n_layers")
 
 
 def _options_read(kind: str, preset: str) -> set[str]:
@@ -385,6 +385,8 @@ def _train_spec(args, taxonomy) -> dict:
         elif key not in _OPTIONS_OF_KEY and getattr(args, key) is not None:
             if key in _POSITIVE_OPTIONS and getattr(args, key) <= 0:
                 raise CliError(f"--{key.replace('_', '-')} must be positive, got {getattr(args, key)}")
+            if key == "reg" and args.reg < 0:
+                raise CliError(f"--reg must be zero or positive, got {args.reg}")
             spec[key] = getattr(args, key)
     return spec
 

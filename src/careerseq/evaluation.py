@@ -67,44 +67,13 @@ def score_model(
     transitions: Optional[Sequence[tuple[CareerHistory, int]]] = None,
 ) -> TransitionScores:
     """Score every transition of ``histories``, or the explicit
-    ``transitions`` list of (history, t) pairs, in that order.
-
-    Two paths. A model with ``score_transitions`` (the LM adapter, whose full
-    distribution costs one title pass per occupation) returns the realized
-    log-probabilities and stay scores itself. Every other model supplies
-    distributions: ``predict_all(h)`` once per distinct history object when
-    it offers one, else ``predict(h, t)`` per transition; the realized and
-    previous-occupation columns are read off those."""
+    ``transitions`` list of (history, t) pairs, in that order, through the
+    model's ``score_transitions``. ``taxonomy`` is unused; the model scores
+    against its own."""
     if transitions is None:
         transitions = [(h, t) for h in histories for t in range(1, len(h) + 1)]
     items = list(transitions)
-    if hasattr(model, "score_transitions"):
-        logp, p_stay = model.score_transitions(items)
-    else:
-        logp, p_stay = _score_distributions(model, items, taxonomy)
-    return transition_scores(items, logp, p_stay)
-
-
-def _score_distributions(
-    model, items: list[tuple[CareerHistory, int]], taxonomy: OccupationTaxonomy
-) -> tuple[np.ndarray, np.ndarray]:
-    logp = np.zeros(len(items))
-    p_stay = np.full(len(items), np.nan)
-    predict_all = getattr(model, "predict_all", None)
-    # keyed by history object, not individual id: windows cut from one
-    # person's career share the id but not the distributions
-    rows: dict[int, list[np.ndarray]] = {}
-    for i, (h, t) in enumerate(items):
-        if predict_all is None:
-            dist = model.predict(h, t)
-        else:
-            if id(h) not in rows:
-                rows[id(h)] = predict_all(h)
-            dist = rows[id(h)][t - 1]
-        logp[i] = np.log(dist[taxonomy.index_of(h.records[t - 1].occupation)])
-        if t > 1:
-            p_stay[i] = dist[taxonomy.index_of(h.records[t - 2].occupation)]
-    return logp, p_stay
+    return transition_scores(items, *model.score_transitions(items))
 
 
 def transition_scores(

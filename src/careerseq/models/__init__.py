@@ -1,7 +1,7 @@
-"""Occupation models. Each maps (career history, transition index t) to a
-vector over the taxonomy in entry order through ``predict(history, t)``.
-Proper models return a probability distribution; the as-written empirical
-baseline returns unnormalized values, which perplexity consumes as-is.
+"""Occupation models. Every model scores (career history, t) items through
+``score_transitions``; the distribution models also map one to a vector over
+the taxonomy in entry order through ``predict(history, t)``. That vector is a
+probability distribution, except for the as-written empirical baseline.
 """
 
 from .adapter import GenerationConfig, LmOccupationAdapter

@@ -32,6 +32,7 @@ from .. import autograd as ag
 from ..corpus import EDUCATIONS, ETHNICITIES, GENDERS, REGIONS, CareerHistory, n_year_buckets, year_bucket
 from ..taxonomy import OccupationTaxonomy
 from .checkpoint import config_of, load_checkpoint, save_checkpoint
+from .scoring import DistributionModel
 
 _NEG = -1e30
 
@@ -61,7 +62,7 @@ def paper_preset(taxonomy_size: int, year_range: tuple[int, int] = (1979, 2022))
     )
 
 
-class CareerModel:
+class CareerModel(DistributionModel):
     def __init__(self, config: CareerConfig, taxonomy: OccupationTaxonomy, seed: int = 0, dtype=np.float32):
         if config.taxonomy_size != taxonomy.size:
             raise ValueError("config taxonomy_size differs from taxonomy")

@@ -18,6 +18,7 @@ import numpy as np
 from ..corpus import CareerHistory
 from ..taxonomy import OccupationTaxonomy
 from .checkpoint import config_of, load_checkpoint, save_checkpoint
+from .scoring import DistributionModel
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class EmpiricalConfig:
     normalized: bool
 
 
-class EmpiricalModel:
+class EmpiricalModel(DistributionModel):
     def __init__(self, taxonomy: OccupationTaxonomy, normalized: bool = False):
         self.taxonomy = taxonomy
         self.normalized = normalized

@@ -18,6 +18,7 @@ from ..autograd import cross_entropy, softmax_np
 from ..corpus import EDUCATIONS, ETHNICITIES, GENDERS, REGIONS, CareerHistory
 from ..taxonomy import OccupationTaxonomy
 from .checkpoint import config_of, load_checkpoint, save_checkpoint
+from .scoring import DistributionModel
 
 
 class Featurizer:
@@ -113,7 +114,7 @@ class MnlConfig:
     reg: float
 
 
-class MnlModel:
+class MnlModel(DistributionModel):
     def __init__(self, featurizer: Featurizer, taxonomy: OccupationTaxonomy, reg: float = 0.0):
         self.featurizer = featurizer
         self.taxonomy = taxonomy

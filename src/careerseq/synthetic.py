@@ -39,6 +39,7 @@ from .corpus import (
     n_year_buckets,
     year_bucket,
 )
+from .models.scoring import DistributionModel
 from .taxonomy import OccupationTaxonomy, build_default_taxonomy
 
 _ETHNICITY_PROBS = np.array([0.55, 0.25, 0.15, 0.05])
@@ -381,7 +382,7 @@ def _check_covariates(static: StaticCovariates) -> None:
         raise ValueError("unknown covariate value")
 
 
-class OracleModel:
+class OracleModel(DistributionModel):
     """Ground-truth generator conditionals behind the occupation-model interface."""
 
     def __init__(self, params: GeneratorParams, taxonomy: OccupationTaxonomy):

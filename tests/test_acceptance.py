@@ -42,6 +42,7 @@ from careerseq.models import (
     TokenLmConfig,
     collate_token_batch,
 )
+from careerseq.models.scoring import DistributionModel
 from careerseq.synthetic import OracleModel, SyntheticConfig, generate_synthetic
 from careerseq.taxonomy import build_default_taxonomy
 from careerseq.template import NumericTitleMap, TemplateCodec, TemplateConfig
@@ -101,7 +102,9 @@ def test_02_uniform_model_perplexity_equals_taxonomy_size():
     tax = build_default_taxonomy(335)
     ds, _ = generate_synthetic(SyntheticConfig(n_individuals=40, taxonomy_size=335, seed=1002))
 
-    class Uniform:
+    class Uniform(DistributionModel):
+        taxonomy = ds.taxonomy
+
         def predict(self, history, t):
             return np.full(335, 1.0 / 335)
 

@@ -536,13 +536,24 @@ class TestTrainEval:
         assert sorted(f.name for f in d["dir"].iterdir() if f.name.startswith(".")) == []
 
     @pytest.mark.parametrize("kind, flag, value", [("career", "--batch", "0"), ("lm", "--d-model", "0"),
-                                                   ("mnl", "--epochs", "0"), ("career", "--lr", "-0.1")])
+                                                   ("mnl", "--epochs", "0"), ("career", "--lr", "-0.1"),
+                                                   ("career", "--n-layers", "-1"), ("lm", "--n-layers", "0")])
     def test_option_that_is_not_positive_exits_two(self, pipeline, kind, flag, value, capsys):
         d = pipeline
         out = d["dir"] / "ck"
         assert main(["train", kind, "--data", str(d["split"]), "--taxonomy", str(d["tax"]), "--out", str(out),
                      "--seed", "1", flag, value]) == 2
         assert f"{flag} must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_reg_exits_two(self, pipeline, capsys):
+        """``--reg 0`` is the default; a negative penalty rewards large
+        weights and is refused before any checkpoint is written."""
+        d = pipeline
+        out = d["dir"] / "ck"
+        assert main(["train", "mnl", "--data", str(d["split"]), "--taxonomy", str(d["tax"]), "--out", str(out),
+                     "--seed", "1", "--reg", "-1"]) == 2
+        assert "--reg must be zero or positive" in capsys.readouterr().err
         assert not out.exists()
 
 

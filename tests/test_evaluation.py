@@ -21,6 +21,7 @@ from careerseq.evaluation import (
     write_metrics_csv,
 )
 from careerseq.models import EmpiricalModel
+from careerseq.models.scoring import DistributionModel
 from careerseq.synthetic import OracleModel, SyntheticConfig, generate_synthetic
 from careerseq.taxonomy import build_default_taxonomy
 
@@ -36,7 +37,7 @@ def make_scores(logp, p_stay=None, ttype=None, ids=None, t=None):
     )
 
 
-class UniformModel:
+class UniformModel(DistributionModel):
     def __init__(self, taxonomy):
         self.taxonomy = taxonomy
 

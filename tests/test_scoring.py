@@ -149,3 +149,30 @@ def test_adapter_scores_as_joint_log_probability(models, items):
         else:
             stay = np.exp(adapter.joint_log_probability(h, t, h.records[t - 2].occupation))
             assert abs(scores.p_stay[i] - stay) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["empirical", "mnl", "career", "oracle"])
+def test_predict_all_runs_once_per_history_object(models, name, monkeypatch):
+    """Scoring reads each history object's distributions from one
+    ``predict_all`` call, however many of its transitions are scored; two
+    windows cut from one career share the id and still get a call each."""
+    model = models[name]
+    cfg = SyntheticConfig(n_individuals=30, taxonomy_size=10, seed=93, mean_records=5.0, year_range=YEARS)
+    ds, _ = generate_synthetic(cfg, taxonomy=TAXONOMY)
+    a, b, c = [h for h in ds.individuals if 3 <= len(h) <= 10][:3]
+    windows = [truncate_history(a, len(a), 1), truncate_history(a, len(a) - 1, 1)]
+    items = [(a, 1), (b, 2), *windows, (a, len(a)), (c, 3), (b, 1), (a, 2)]
+    assert windows[0][0].individual_id == windows[1][0].individual_id == a.individual_id
+    calls = []
+    original = model.predict_all
+
+    def counting(history):
+        calls.append(id(history))
+        return original(history)
+
+    expected = score_model(model, [], TAXONOMY, transitions=items)
+    monkeypatch.setattr(model, "predict_all", counting)
+    scores = score_model(model, [], TAXONOMY, transitions=items)
+    assert sorted(calls) == sorted(id(h) for h in (a, b, c, windows[0][0], windows[1][0]))
+    np.testing.assert_array_equal(scores.logp_true, expected.logp_true)
+    np.testing.assert_array_equal(scores.p_stay, expected.p_stay)
